@@ -29,6 +29,7 @@ use georep_coord::rnp::Rnp;
 use georep_coord::{Coord, EmbeddingRunner};
 use georep_core::experiment::DIMS;
 use georep_core::manager::{ManagerConfig, ReplicaManager};
+use georep_net::hash::{fnv1a_fold, SplitMix64, FNV_OFFSET};
 use georep_net::sim::{reference, SimDuration, Simulation};
 use georep_net::topology::{Topology, TopologyConfig};
 use georep_workload::population::Population;
@@ -42,7 +43,7 @@ const SHARDS: usize = 64;
 /// The hold-model world: all randomness lives here so the handler closure
 /// stays zero-sized (no per-event allocation in either engine).
 struct HoldWorld {
-    rng: u64,
+    rng: SplitMix64,
     /// Reschedules still to issue; the pending set stays at `hold` until
     /// this runs dry, then drains.
     remaining: u64,
@@ -51,31 +52,14 @@ struct HoldWorld {
     hash: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a_step(hash: u64, value: u64) -> u64 {
-    let mut h = hash;
-    for b in value.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Next reschedule delay: 1 µs .. 1 s, uniform-ish.
 fn next_delay(w: &mut HoldWorld) -> SimDuration {
-    SimDuration::from_micros(splitmix64(&mut w.rng) % 1_000_000 + 1)
+    SimDuration::from_micros(w.rng.next_u64() % 1_000_000 + 1)
 }
 
 fn hold_handler(w: &mut HoldWorld, ctx: &mut georep_net::sim::Context<HoldWorld>) {
     w.executed += 1;
-    w.hash = fnv1a_step(w.hash, ctx.now().as_micros());
+    w.hash = fnv1a_fold(w.hash, &ctx.now().as_micros().to_le_bytes());
     if w.remaining > 0 {
         w.remaining -= 1;
         let d = next_delay(w);
@@ -85,7 +69,7 @@ fn hold_handler(w: &mut HoldWorld, ctx: &mut georep_net::sim::Context<HoldWorld>
 
 fn hold_handler_ref(w: &mut HoldWorld, ctx: &mut reference::Context<HoldWorld>) {
     w.executed += 1;
-    w.hash = fnv1a_step(w.hash, ctx.now().as_micros());
+    w.hash = fnv1a_fold(w.hash, &ctx.now().as_micros().to_le_bytes());
     if w.remaining > 0 {
         w.remaining -= 1;
         let d = next_delay(w);
@@ -96,18 +80,18 @@ fn hold_handler_ref(w: &mut HoldWorld, ctx: &mut reference::Context<HoldWorld>) 
 /// Initial pending set: `hold` events at seeded pseudo-random instants.
 /// Identical for both engines by construction.
 fn seed_delays(hold: u64, seed: u64) -> Vec<SimDuration> {
-    let mut state = seed;
+    let mut rng = SplitMix64(seed);
     (0..hold)
-        .map(|_| SimDuration::from_micros(splitmix64(&mut state) % 1_000_000 + 1))
+        .map(|_| SimDuration::from_micros(rng.next_u64() % 1_000_000 + 1))
         .collect()
 }
 
 fn run_hold_calendar(hold: u64, events: u64, seed: u64) -> (f64, u64, u64) {
     let mut sim = Simulation::new(HoldWorld {
-        rng: seed ^ 0xCA1E,
+        rng: SplitMix64(seed ^ 0xCA1E),
         remaining: events - hold,
         executed: 0,
-        hash: 0xCBF2_9CE4_8422_2325,
+        hash: FNV_OFFSET,
     });
     for d in seed_delays(hold, seed) {
         sim.schedule_in(d, hold_handler);
@@ -121,10 +105,10 @@ fn run_hold_calendar(hold: u64, events: u64, seed: u64) -> (f64, u64, u64) {
 
 fn run_hold_reference(hold: u64, events: u64, seed: u64) -> (f64, u64, u64) {
     let mut sim = reference::Simulation::new(HoldWorld {
-        rng: seed ^ 0xCA1E,
+        rng: SplitMix64(seed ^ 0xCA1E),
         remaining: events - hold,
         executed: 0,
-        hash: 0xCBF2_9CE4_8422_2325,
+        hash: FNV_OFFSET,
     });
     for d in seed_delays(hold, seed) {
         sim.schedule_in(d, hold_handler_ref);

@@ -31,6 +31,7 @@ use std::time::Instant;
 use georep_coord::Coord;
 use georep_core::fleet::{FleetConfig, FleetManager};
 use georep_core::manager::ManagerConfig;
+use georep_net::hash::splitmix64;
 use georep_serve::{IngestService, MockClock, ServeConfig};
 
 /// Coordinate dimensionality of the serving tier (smaller than the
@@ -87,10 +88,7 @@ fn fleet(regions: &Arc<Vec<Coord<D>>>) -> FleetManager<D> {
 /// producers generate on the fly and the offline replay regenerates the
 /// identical trace without ever materializing it twice.
 fn access_for(stamp: u64) -> (u64, u32, f64) {
-    let mut z = stamp.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
+    let z = splitmix64(stamp);
     let object = (z >> 20) % OBJECTS;
     let region = ((z >> 8) % REGIONS as u64) as u32;
     let weight = 0.5 + (z % 128) as f64 / 64.0;

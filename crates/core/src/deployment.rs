@@ -26,6 +26,7 @@ use georep_cluster::point::WeightedPoint;
 use georep_cluster::summary::AccessSummary;
 use georep_coord::rnp::Rnp;
 use georep_coord::{Coord, LatencyEstimator};
+use georep_net::hash::SplitMix64;
 use georep_net::rtt::RttMatrix;
 use georep_net::sim::process::{NodeId, Process, ProcessCtx, ProcessNet};
 use georep_net::sim::{Network, SimDuration, SimTime};
@@ -114,7 +115,7 @@ struct DeployNode {
     n: usize,
     cfg: DeploymentConfig,
     estimator: Rnp<DIMS>,
-    rng_state: u64,
+    rng: SplitMix64,
     /// Candidate data centers (same list everywhere; the coordinator is
     /// its first entry).
     candidates: Vec<NodeId>,
@@ -135,20 +136,8 @@ struct DeployNode {
 }
 
 impl DeployNode {
-    fn rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn rand_f64(&mut self) -> f64 {
-        (self.rand() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     fn exp_interval(&mut self, mean: SimDuration) -> SimDuration {
-        let u = self.rand_f64().max(1e-12);
+        let u = self.rng.next_f64().max(1e-12);
         SimDuration::from_micros(((-u.ln()) * mean.as_micros() as f64).round().max(1.0) as u64)
     }
 
@@ -219,7 +208,7 @@ impl DeployNode {
 
 impl Process<Msg> for DeployNode {
     fn on_start(&mut self, ctx: &mut ProcessCtx<Msg>) {
-        let stagger = SimDuration::from_micros(self.rand() % 200_000);
+        let stagger = SimDuration::from_micros(self.rng.next_u64() % 200_000);
         ctx.set_timer(self.cfg.gossip_interval + stagger, TIMER_GOSSIP);
         if !self.is_candidate {
             ctx.set_timer(
@@ -305,7 +294,7 @@ impl Process<Msg> for DeployNode {
         match id {
             TIMER_GOSSIP => {
                 let peer = loop {
-                    let p = (self.rand() % self.n as u64) as usize;
+                    let p = (self.rng.next_u64() % self.n as u64) as usize;
                     if p != ctx.node() {
                         break p;
                     }
@@ -325,7 +314,7 @@ impl Process<Msg> for DeployNode {
             }
             TIMER_ACCESS => {
                 if let Some(replica) = self.closest_replica() {
-                    let kib = 16.0 + self.rand_f64() * 96.0;
+                    let kib = 16.0 + self.rng.next_f64() * 96.0;
                     ctx.send(
                         replica,
                         Msg::Access {
@@ -411,7 +400,7 @@ pub fn run_deployment(
                 n,
                 cfg,
                 estimator: Rnp::new(),
-                rng_state: cfg.seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03),
+                rng: SplitMix64(cfg.seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03)),
                 candidates: candidates.to_vec(),
                 is_candidate,
                 is_coordinator: i == candidates[0],

@@ -127,15 +127,8 @@ mod tests {
 
     mod properties {
         use super::*;
+        use georep_net::hash::splitmix64;
         use proptest::prelude::*;
-
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
 
         /// A symmetric pseudo-random RTT matrix, entries in [10, 510) ms.
         fn random_matrix(n: usize, seed: u64) -> RttMatrix {
@@ -144,8 +137,7 @@ mod tests {
                     0.0
                 } else {
                     let (lo, hi) = (i.min(j) as u64, i.max(j) as u64);
-                    let mut s = seed ^ (lo * 1001 + hi);
-                    10.0 + (splitmix(&mut s) % 500) as f64
+                    10.0 + (splitmix64(seed ^ (lo * 1001 + hi)) % 500) as f64
                 }
             })
             .expect("symmetric non-negative matrix is valid")

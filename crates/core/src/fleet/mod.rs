@@ -46,10 +46,11 @@ use std::sync::Arc;
 
 use georep_coord::Coord;
 
-use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError};
-use crate::manager::{ManagerConfig, ManagerError, ReplicaManager};
+use crate::forecast::{DemandHistory, ForecastConfig, ForecastError};
+use crate::manager::{ManagerConfig, ManagerError, ReplicaManager, Target};
 use crate::migration::MigrationDecision;
 use crate::objective::{CoordDelay, CostTable};
+use crate::strategy::predictive::{mode_target, PlacementMode, Predictor};
 use crate::telemetry::Recorder;
 
 /// Error produced by [`FleetManager`].
@@ -402,6 +403,42 @@ impl<const D: usize> FleetManager<D> {
     /// [`FleetError::Manager`] when an owner's macro-clustering fails; the
     /// error of the lowest-numbered failing owner is reported.
     pub fn rebalance(&mut self) -> Result<FleetRound, FleetError> {
+        self.round(&vec![Target::Summaries; self.owners.len()])
+    }
+
+    /// [`FleetManager::rebalance`] with per-owner demand overrides: owner
+    /// `i` proposes on [`Target::Demand`]`(predicted[i])` when it is `Some`
+    /// (the forecast path) and reactively on its recorded summaries
+    /// otherwise. Budget batching and the period lifecycle are identical to
+    /// the reactive round, so a call with all-`None` overrides is
+    /// [`FleetManager::rebalance`] bit for bit.
+    /// [`FleetPredictor::predict_gated`] produces the override vector from
+    /// per-owner histories, already confidence-gated.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::InvalidSetup`] when `predicted` is not one entry per
+    /// owner; [`FleetError::Manager`] as [`FleetManager::rebalance`].
+    pub fn rebalance_on(
+        &mut self,
+        predicted: &[Option<Vec<(Coord<D>, f64)>>],
+    ) -> Result<FleetRound, FleetError> {
+        if predicted.len() != self.owners.len() {
+            return Err(FleetError::InvalidSetup(
+                "rebalance_on needs one (optional) demand override per owner",
+            ));
+        }
+        let targets: Vec<Target<'_, D>> = predicted
+            .iter()
+            .map(|demand| demand.as_deref().map_or(Target::Summaries, Target::Demand))
+            .collect();
+        self.round(&targets)
+    }
+
+    /// The one fleet round behind both entries: parallel propose →
+    /// [`scheduler::schedule`] → commit/defer → stats, with one target per
+    /// owner.
+    fn round(&mut self, targets: &[Target<'_, D>]) -> Result<FleetRound, FleetError> {
         let owner_count = self.owners.len();
         let threads = self.resolve_threads().min(owner_count).max(1);
 
@@ -411,11 +448,17 @@ impl<const D: usize> FleetManager<D> {
         proposals.resize_with(owner_count, || None);
         let per = owner_count.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (mgr_chunk, out_chunk) in self.owners.chunks_mut(per).zip(proposals.chunks_mut(per))
+            for ((mgr_chunk, target_chunk), out_chunk) in self
+                .owners
+                .chunks_mut(per)
+                .zip(targets.chunks(per))
+                .zip(proposals.chunks_mut(per))
             {
                 scope.spawn(move || {
-                    for (mgr, out) in mgr_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                        *out = Some(mgr.propose_rebalance());
+                    for ((mgr, &target), out) in
+                        mgr_chunk.iter_mut().zip(target_chunk).zip(out_chunk)
+                    {
+                        *out = Some(mgr.propose(target));
                     }
                 });
             }
@@ -426,93 +469,6 @@ impl<const D: usize> FleetManager<D> {
         }
 
         // Batch under the budget, then finish every owner's period.
-        let decision_refs: Vec<&MigrationDecision> = pendings.iter().map(|p| &p.decision).collect();
-        let (actions, spent) = scheduler::schedule(&decision_refs, self.budget_usd);
-        let mut decisions = Vec::with_capacity(owner_count);
-        let (mut committed, mut deferred, mut moved) = (0usize, 0usize, 0u64);
-        for ((mgr, pending), action) in self.owners.iter_mut().zip(pendings).zip(&actions) {
-            let decision = match action {
-                scheduler::Action::Commit => mgr.commit_rebalance(pending),
-                scheduler::Action::Defer => {
-                    deferred += 1;
-                    mgr.defer_rebalance(pending)
-                }
-            };
-            if decision.applied {
-                committed += 1;
-                moved += decision.moved as u64;
-            }
-            decisions.push(decision);
-        }
-
-        self.stats.rounds += 1;
-        self.stats.committed += committed as u64;
-        self.stats.deferred += deferred as u64;
-        self.stats.replicas_moved += moved;
-        self.stats.spent_usd += spent;
-        Ok(FleetRound {
-            decisions,
-            committed,
-            deferred,
-            moved_replicas: moved,
-            spent_usd: spent,
-        })
-    }
-
-    /// [`FleetManager::rebalance`] with per-owner demand overrides: owner
-    /// `i` proposes on `predicted[i]` when it is `Some` (via
-    /// [`ReplicaManager::propose_rebalance_on`] — the forecast path) and
-    /// reactively on its recorded summaries otherwise. Budget batching and
-    /// the period lifecycle are identical to the reactive round, so a call
-    /// with all-`None` overrides is [`FleetManager::rebalance`] bit for
-    /// bit. [`FleetPredictor::predict_gated`] produces the override vector
-    /// from per-owner histories, already confidence-gated.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidSetup`] when `predicted` is not one entry per
-    /// owner; [`FleetError::Manager`] as [`FleetManager::rebalance`].
-    pub fn rebalance_on(
-        &mut self,
-        predicted: &[Option<Vec<(Coord<D>, f64)>>],
-    ) -> Result<FleetRound, FleetError> {
-        let owner_count = self.owners.len();
-        if predicted.len() != owner_count {
-            return Err(FleetError::InvalidSetup(
-                "rebalance_on needs one (optional) demand override per owner",
-            ));
-        }
-        let threads = self.resolve_threads().min(owner_count).max(1);
-
-        let mut proposals: Vec<Option<Result<_, ManagerError>>> = Vec::new();
-        proposals.resize_with(owner_count, || None);
-        let per = owner_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((mgr_chunk, demand_chunk), out_chunk) in self
-                .owners
-                .chunks_mut(per)
-                .zip(predicted.chunks(per))
-                .zip(proposals.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for ((mgr, demand), out) in mgr_chunk
-                        .iter_mut()
-                        .zip(demand_chunk)
-                        .zip(out_chunk.iter_mut())
-                    {
-                        *out = Some(match demand {
-                            Some(d) => mgr.propose_rebalance_on(d),
-                            None => mgr.propose_rebalance(),
-                        });
-                    }
-                });
-            }
-        });
-        let mut pendings = Vec::with_capacity(owner_count);
-        for proposal in proposals {
-            pendings.push(proposal.expect("every owner proposed")?);
-        }
-
         let decision_refs: Vec<&MigrationDecision> = pendings.iter().map(|p| &p.decision).collect();
         let (actions, spent) = scheduler::schedule(&decision_refs, self.budget_usd);
         let mut decisions = Vec::with_capacity(owner_count);
@@ -684,8 +640,8 @@ impl<const D: usize> FleetManager<D> {
     }
 }
 
-/// Per-owner demand forecasting for a fleet: one [`DemandHistory`] per
-/// owner, all over the same region grid, fed from the keyed access stream
+/// Per-owner demand forecasting for a fleet: one [`Predictor`] per owner,
+/// all over the same region grid, fed from the keyed access stream
 /// by the same object → owner routing the fleet uses. Pair with
 /// [`FleetManager::rebalance_on`]: [`FleetPredictor::predict_gated`]
 /// yields the per-owner override vector, `Some` only where that owner's
@@ -693,8 +649,7 @@ impl<const D: usize> FleetManager<D> {
 /// or stationary demand keep their reactive behavior untouched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPredictor<const D: usize> {
-    histories: Vec<DemandHistory<D>>,
-    config: ForecastConfig,
+    predictors: Vec<Predictor<D>>,
     /// Pooled per-owner scatter buckets (same discipline as the fleet's
     /// ingest buckets: cleared, never shrunk).
     buckets: Vec<Vec<(Coord<D>, f64)>>,
@@ -713,12 +668,9 @@ impl<const D: usize> FleetPredictor<D> {
         regions: Vec<Coord<D>>,
         config: ForecastConfig,
     ) -> Result<Self, ForecastError> {
-        config.validate()?;
-        let histories = vec![DemandHistory::new(regions)?; owner_count];
         Ok(FleetPredictor {
+            predictors: vec![Predictor::new(regions, config)?; owner_count],
             buckets: vec![Vec::new(); owner_count],
-            histories,
-            config,
         })
     }
 
@@ -734,7 +686,7 @@ impl<const D: usize> FleetPredictor<D> {
     pub fn observe_period(&mut self, tiering: &Tiering, accesses: &[(u64, Coord<D>, f64)]) {
         assert_eq!(
             tiering.owner_count(),
-            self.histories.len(),
+            self.predictors.len(),
             "tiering and predictor owner counts must match"
         );
         for bucket in &mut self.buckets {
@@ -743,8 +695,8 @@ impl<const D: usize> FleetPredictor<D> {
         for &(object, coord, weight) in accesses {
             self.buckets[tiering.owner_of(object)].push((coord, weight));
         }
-        for (history, bucket) in self.histories.iter_mut().zip(&self.buckets) {
-            history.push_period(bucket);
+        for (predictor, bucket) in self.predictors.iter_mut().zip(&self.buckets) {
+            predictor.observe(bucket);
         }
     }
 
@@ -753,25 +705,24 @@ impl<const D: usize> FleetPredictor<D> {
     /// owner's confidence gate engages, `None` (reactive) everywhere else.
     /// Never fails — an owner whose forecast errors simply stays reactive.
     pub fn predict_gated(&self) -> Vec<Option<Vec<(Coord<D>, f64)>>> {
-        self.histories
+        self.predictors
             .iter()
-            .map(|history| {
-                if !forecast::gate(history, &self.config).engaged() {
-                    return None;
-                }
-                history.forecast_next(self.config.season).ok()
+            .map(|predictor| {
+                mode_target(PlacementMode::Predictive, predictor, None)
+                    .ok()
+                    .and_then(|replan| replan.demand)
             })
             .collect()
     }
 
     /// One owner's history (for inspection in tests and tooling).
     pub fn history(&self, owner: usize) -> &DemandHistory<D> {
-        &self.histories[owner]
+        self.predictors[owner].history()
     }
 
     /// Periods observed so far (uniform across owners).
     pub fn periods(&self) -> usize {
-        self.histories.first().map_or(0, |h| h.periods())
+        self.predictors.first().map_or(0, |p| p.periods())
     }
 }
 

@@ -27,6 +27,7 @@
 use georep_coord::embedding::{evaluate, EmbeddingReport};
 use georep_coord::rnp::Rnp;
 use georep_coord::{Coord, LatencyEstimator};
+use georep_net::hash::SplitMix64;
 use georep_net::rtt::RttMatrix;
 use georep_net::sim::process::{NetStats, NodeId, Process, ProcessCtx, ProcessNet};
 use georep_net::sim::{FaultPlan, Network, SimDuration, SimTime};
@@ -104,8 +105,8 @@ struct GossipNode {
     timeout: SimDuration,
     max_retries: u32,
     suspicion_threshold: u32,
-    /// SplitMix64 state for peer selection (deterministic per node).
-    rng_state: u64,
+    /// Peer-selection generator (deterministic per node).
+    rng: SplitMix64,
     pings_sent: u64,
     pings_retried: u64,
     timeouts: u64,
@@ -128,7 +129,7 @@ impl GossipNode {
             timeout: cfg.timeout,
             max_retries: cfg.max_retries,
             suspicion_threshold: cfg.suspicion_threshold,
-            rng_state: cfg.seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03),
+            rng: SplitMix64(cfg.seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03)),
             pings_sent: 0,
             pings_retried: 0,
             timeouts: 0,
@@ -141,15 +142,6 @@ impl GossipNode {
         }
     }
 
-    fn draw(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        z
-    }
-
     /// Picks the next probe target: a uniform non-self peer, skipping
     /// suspected peers except on every eighth tick (probation — suspected
     /// peers must keep being probed or a healed peer could never redeem
@@ -159,7 +151,7 @@ impl GossipNode {
         let probation = self.ticks.is_multiple_of(8);
         let all_suspected = (0..self.peers).all(|p| p == me || self.suspected[p]);
         loop {
-            let peer = (self.draw() % self.peers as u64) as usize;
+            let peer = (self.rng.next_u64() % self.peers as u64) as usize;
             if peer == me {
                 continue;
             }

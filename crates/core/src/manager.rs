@@ -7,6 +7,15 @@
 //! summaries are collected, macro-clustered (Algorithm 1) and — when the
 //! estimated gain justifies the migration cost — the replica set migrates.
 //!
+//! Every rebalance round goes through one decision body,
+//! [`ReplicaManager::propose`], followed by
+//! [`ReplicaManager::commit_rebalance`] or
+//! [`ReplicaManager::defer_rebalance`]. A [`Target`] chooses what the round
+//! re-places on — the recorded summaries (reactive), an external demand
+//! estimate (predictive / oracle), or an externally solved placement
+//! (decentralized) — while the accounting, the migration gate and the
+//! period lifecycle are shared by all of them.
+//!
 //! The manager deliberately *never* touches true latencies: everything it
 //! does is computable from coordinates and summaries, exactly like a real
 //! deployment. True latencies exist only in the evaluation harness.
@@ -143,10 +152,30 @@ pub struct ManagerStats {
     pub failures: u64,
 }
 
+/// What one rebalance round re-places on — the argument of
+/// [`ReplicaManager::propose`]. The target picks the solver input and the
+/// source of the proposal; everything else about the round is shared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Target<'a, const D: usize> {
+    /// The reactive round: macro-cluster this period's recorded
+    /// micro-cluster pseudo points (the paper's Algorithm 1).
+    Summaries,
+    /// Macro-cluster an external demand estimate instead — a forecast of
+    /// the next period, or the actual next period for an oracle. Points of
+    /// weight ≤ 0 are dropped; if none remain, the round is the
+    /// empty-period no-op. Fed exactly the recorded pseudo points, it
+    /// decides bit-identically to [`Target::Summaries`].
+    Demand(&'a [(Coord<D>, f64)]),
+    /// Skip the solver: this externally computed placement (e.g. a
+    /// gossip-converged consensus) *is* the proposal, gated against this
+    /// period's recorded pseudo points.
+    Placement(&'a [usize]),
+}
+
 /// A proposed-but-not-yet-applied rebalance round: everything
 /// [`ReplicaManager::rebalance`] computes up to (and including) the
 /// decision, with the apply and period-reset steps still pending. Produced
-/// by [`ReplicaManager::propose_rebalance`]; finished by
+/// by [`ReplicaManager::propose`]; finished by
 /// [`ReplicaManager::commit_rebalance`] (honour the decision) or
 /// [`ReplicaManager::defer_rebalance`] (a scheduler ran out of migration
 /// budget — keep the old placement, end the period anyway).
@@ -331,22 +360,14 @@ impl<const D: usize> ReplicaManager<D> {
     /// replica with a high accuracy although it has never accessed the
     /// replicas before".
     pub fn route(&self, coord: &Coord<D>) -> usize {
-        *self
-            .placement
-            .iter()
-            .min_by(|&&a, &&b| {
-                self.coords[a]
-                    .distance(coord)
-                    .total_cmp(&self.coords[b].distance(coord))
-            })
-            .expect("placement is non-empty")
+        self.placement[self.slot_for(coord)]
     }
 
-    /// The clusterer slot (index into `placement`) serving `coord` — one
-    /// pass finds both the serving replica and its summarizer,
-    /// [`ReplicaManager::route`] plus its `position` rescan folded
-    /// together. `total_cmp` with a strict `Less` keeps the first of ties,
-    /// exactly like `min_by`. Pure: reads only `placement` and `coords`,
+    /// The clusterer slot (index into `placement`) serving `coord`: the
+    /// replica at the smallest predicted distance, the first of ties
+    /// (`total_cmp` with a strict `Less`). Routing, ingest and the
+    /// redistribution of decayed history all use it, so they agree on
+    /// the serving replica. Pure: reads only `placement` and `coords`,
     /// which is what lets [`ReplicaManager::ingest_period`] evaluate it
     /// for millions of accesses in parallel without changing any result.
     fn slot_for(&self, coord: &Coord<D>) -> usize {
@@ -618,18 +639,54 @@ impl<const D: usize> ReplicaManager<D> {
         Ok(self.commit_rebalance(pending))
     }
 
-    /// The first half of a rebalance round: collect summaries (accounting
-    /// their wire bytes), macro-cluster, and *decide* — without touching the
-    /// placement or the summarization period. The returned
-    /// [`PendingRebalance`] carries the decision an independent manager
-    /// would have taken; hand it back via
-    /// [`ReplicaManager::commit_rebalance`] or
-    /// [`ReplicaManager::defer_rebalance`] to end the period.
+    /// The first half of a reactive rebalance round:
+    /// [`ReplicaManager::propose`] on [`Target::Summaries`].
     ///
     /// # Errors
     ///
     /// [`ManagerError::Cluster`] if the weighted K-means fails.
     pub fn propose_rebalance(&mut self) -> Result<PendingRebalance, ManagerError> {
+        self.propose(Target::Summaries)
+    }
+
+    /// The first half of every rebalance round: collect summaries
+    /// (accounting their wire bytes), solve for a proposal, and *decide* —
+    /// without touching the placement or the summarization period. The
+    /// returned [`PendingRebalance`] carries the decision an independent
+    /// manager would have taken; hand it back via
+    /// [`ReplicaManager::commit_rebalance`] or
+    /// [`ReplicaManager::defer_rebalance`] to end the period.
+    ///
+    /// The [`Target`] picks only the solver input and where the proposal
+    /// comes from; the round and summary-byte accounting, the empty-period
+    /// no-op, [`ReplicaManager::adapt_k`], the k-means seed and thread
+    /// pinning, the delay estimates and the gain-vs-cost migration gate
+    /// are the same for every target. Summaries are collected and shipped
+    /// whatever the target: an external demand estimate or solver replaces
+    /// only what the round optimizes for, not the period's bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// [`ManagerError::Cluster`] if the weighted K-means fails;
+    /// [`ManagerError::InvalidSetup`] when a [`Target::Placement`] is
+    /// empty, repeats a node, or strays outside the current candidate set
+    /// (a rejected placement does not consume the period).
+    pub fn propose(&mut self, target: Target<'_, D>) -> Result<PendingRebalance, ManagerError> {
+        if let Target::Placement(placement) = target {
+            if placement.is_empty() {
+                return Err(ManagerError::InvalidSetup("target placement is empty"));
+            }
+            if (1..placement.len()).any(|i| placement[..i].contains(&placement[i])) {
+                return Err(ManagerError::InvalidSetup(
+                    "target placement repeats a node",
+                ));
+            }
+            if placement.iter().any(|r| !self.candidates.contains(r)) {
+                return Err(ManagerError::InvalidSetup(
+                    "target placement must be a subset of candidates",
+                ));
+            }
+        }
         self.stats.rounds += 1;
 
         // "The micro-clusters are sent to a central server": account for
@@ -643,13 +700,24 @@ impl<const D: usize> ReplicaManager<D> {
             .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
             .sum::<u64>();
 
-        let pseudo: Vec<WeightedPoint<D>> = self
-            .clusterers
-            .iter()
-            .flat_map(|c| c.pseudo_points())
-            .collect();
+        // The demand the round optimizes for — and estimates its gain
+        // against. A wrong forecast can therefore buy a migration the
+        // realized demand never pays back; that regret is exactly what
+        // `bench_predict` measures and the confidence gate bounds.
+        let demand: Vec<WeightedPoint<D>> = match target {
+            Target::Demand(demand) => demand
+                .iter()
+                .filter(|&&(_, w)| w > 0.0)
+                .map(|&(coord, w)| WeightedPoint::new(coord, w))
+                .collect(),
+            Target::Summaries | Target::Placement(_) => self
+                .clusterers
+                .iter()
+                .flat_map(|c| c.pseudo_points())
+                .collect(),
+        };
 
-        if pseudo.is_empty() {
+        if demand.is_empty() {
             return Ok(PendingRebalance {
                 decision: MigrationDecision {
                     old: self.placement.clone(),
@@ -664,30 +732,13 @@ impl<const D: usize> ReplicaManager<D> {
             });
         }
 
-        let k = self.adapt_k();
-        let kcfg = KMeansConfig::new(k.min(pseudo.len())).with_seed(self.config.seed);
-        // The `_with_stats` variants return bit-for-bit the same clustering
-        // as their plain counterparts; the counters are a pure side channel.
-        let (clustering, kstats) = if self.config.restart_threads > 0 {
-            georep_cluster::kmeans::lloyd_with_threads_stats(
-                &pseudo,
-                kcfg,
-                self.config.restart_threads,
-            )?
-        } else {
-            weighted_kmeans_with_stats(&pseudo, kcfg)?
+        let proposed = match target {
+            Target::Placement(placement) => placement.to_vec(),
+            Target::Summaries | Target::Demand(_) => self.macro_cluster(&demand)?,
         };
-        self.kmeans.restarts += kstats.restarts;
-        self.kmeans.iterations += kstats.iterations;
-        self.kmeans.pruned_upper += kstats.pruned_upper;
-        self.kmeans.pruned_tightened += kstats.pruned_tightened;
-        self.kmeans.full_scans += kstats.full_scans;
-        self.kmeans.winner_restart = kstats.winner_restart;
-        let proposed =
-            nearest_distinct_candidates(&clustering.centroids, &self.candidates, &self.coords, k);
 
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
+        let old_est = self.estimate_mean_delay(&self.placement, &demand);
+        let new_est = self.estimate_mean_delay(&proposed, &demand);
         let moved = moved_replicas(&self.placement, &proposed);
         let cost_usd = self.config.cost.cost_usd(moved);
 
@@ -721,86 +772,22 @@ impl<const D: usize> ReplicaManager<D> {
         })
     }
 
-    /// A full rebalance round driven by an *external* demand estimate —
-    /// [`ReplicaManager::propose_rebalance_on`] followed by
-    /// [`ReplicaManager::commit_rebalance`]. The predictive placement path
-    /// ([`crate::strategy::predictive`]) feeds it forecast next-period
-    /// demand so migrations land before the shift does; an oracle feeds it
-    /// the actual next period.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::Cluster`] if the weighted K-means fails.
-    pub fn rebalance_on(
-        &mut self,
-        demand: &[(Coord<D>, f64)],
-    ) -> Result<MigrationDecision, ManagerError> {
-        let pending = self.propose_rebalance_on(demand)?;
-        Ok(self.commit_rebalance(pending))
-    }
-
-    /// [`ReplicaManager::propose_rebalance`] with the solver input swapped:
-    /// instead of this period's recorded micro-cluster pseudo points, the
-    /// macro-clustering runs over the supplied `demand` (zero- and
-    /// negative-weight points are dropped). Everything else is identical —
-    /// the same round / summary-byte accounting (summaries are still
-    /// collected and shipped; the forecast only replaces what the solver
-    /// *optimizes for*), the same [`ReplicaManager::adapt_k`] driven by
-    /// observed load, the same k-means seed, candidate snapping, and
-    /// gain-vs-cost migration gate — so a round fed the recorded pseudo
-    /// points themselves decides bit-identically to
-    /// [`ReplicaManager::propose_rebalance`]. Commit the result via
-    /// [`ReplicaManager::commit_rebalance`] or
-    /// [`ReplicaManager::defer_rebalance`] exactly as a reactive proposal.
-    ///
-    /// An empty (or all-weightless) `demand` is the no-op round, matching
-    /// the reactive empty-period behavior.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::Cluster`] if the weighted K-means fails.
-    pub fn propose_rebalance_on(
-        &mut self,
-        demand: &[(Coord<D>, f64)],
-    ) -> Result<PendingRebalance, ManagerError> {
-        self.stats.rounds += 1;
-        self.stats.summary_bytes += self
-            .clusterers
-            .iter()
-            .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
-            .sum::<u64>();
-
-        let pseudo: Vec<WeightedPoint<D>> = demand
-            .iter()
-            .filter(|&&(_, w)| w > 0.0)
-            .map(|&(coord, w)| WeightedPoint::new(coord, w))
-            .collect();
-
-        if pseudo.is_empty() {
-            return Ok(PendingRebalance {
-                decision: MigrationDecision {
-                    old: self.placement.clone(),
-                    proposed: self.placement.clone(),
-                    old_est_ms: 0.0,
-                    new_est_ms: 0.0,
-                    moved: 0,
-                    cost_usd: 0.0,
-                    applied: false,
-                },
-                empty: true,
-            });
-        }
-
+    /// Algorithm 1's central step: adapt `k` to the observed load,
+    /// weighted-k-means the demand, and snap the centroids to distinct
+    /// candidate data centers.
+    fn macro_cluster(&mut self, demand: &[WeightedPoint<D>]) -> Result<Vec<usize>, ManagerError> {
         let k = self.adapt_k();
-        let kcfg = KMeansConfig::new(k.min(pseudo.len())).with_seed(self.config.seed);
+        let kcfg = KMeansConfig::new(k.min(demand.len())).with_seed(self.config.seed);
+        // The `_with_stats` variants return bit-for-bit the same clustering
+        // as their plain counterparts; the counters are a pure side channel.
         let (clustering, kstats) = if self.config.restart_threads > 0 {
             georep_cluster::kmeans::lloyd_with_threads_stats(
-                &pseudo,
+                demand,
                 kcfg,
                 self.config.restart_threads,
             )?
         } else {
-            weighted_kmeans_with_stats(&pseudo, kcfg)?
+            weighted_kmeans_with_stats(demand, kcfg)?
         };
         self.kmeans.restarts += kstats.restarts;
         self.kmeans.iterations += kstats.iterations;
@@ -808,152 +795,12 @@ impl<const D: usize> ReplicaManager<D> {
         self.kmeans.pruned_tightened += kstats.pruned_tightened;
         self.kmeans.full_scans += kstats.full_scans;
         self.kmeans.winner_restart = kstats.winner_restart;
-        let proposed =
-            nearest_distinct_candidates(&clustering.centroids, &self.candidates, &self.coords, k);
-
-        // Gains are estimated against the demand the round optimizes for:
-        // the forecast. A wrong forecast can therefore buy a migration the
-        // realized demand never pays back — that regret is exactly what
-        // `bench_predict` measures and the confidence gate bounds.
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
-        let moved = moved_replicas(&self.placement, &proposed);
-        let cost_usd = self.config.cost.cost_usd(moved);
-
-        let relative_gain = if old_est > 0.0 {
-            (old_est - new_est) / old_est
-        } else {
-            0.0
-        };
-        let resized = proposed.len() != self.placement.len();
-        let applied = if resized {
-            true
-        } else {
-            moved > 0 && relative_gain >= self.config.gain_per_dollar * cost_usd
-        };
-
-        Ok(PendingRebalance {
-            decision: MigrationDecision {
-                old: self.placement.clone(),
-                proposed,
-                old_est_ms: old_est,
-                new_est_ms: new_est,
-                moved,
-                cost_usd,
-                applied,
-            },
-            empty: false,
-        })
-    }
-
-    /// A full rebalance round toward an *externally computed* placement —
-    /// [`ReplicaManager::propose_placement`] followed by
-    /// [`ReplicaManager::commit_rebalance`]. The decentralized strategy
-    /// ([`crate::strategy::decentralized`]) feeds it the gossip-converged
-    /// consensus so the manager's migration gate, cost accounting and
-    /// period bookkeeping stay authoritative even when the *solver* moved
-    /// out of the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::InvalidSetup`] when `target` is unusable (see
-    /// [`ReplicaManager::propose_placement`]).
-    pub fn rebalance_to(&mut self, target: &[usize]) -> Result<MigrationDecision, ManagerError> {
-        let pending = self.propose_placement(target)?;
-        Ok(self.commit_rebalance(pending))
-    }
-
-    /// [`ReplicaManager::propose_rebalance`] with the solver replaced by a
-    /// caller-supplied placement: no macro-clustering runs, `target` *is*
-    /// the proposal. Everything around it is identical — the same round and
-    /// summary-byte accounting (summaries were still collected and shipped
-    /// this period; an external solver only replaces the central k-means),
-    /// the same gain estimate over this period's recorded pseudo points,
-    /// and the same gain-vs-cost migration gate, so a caller handing back
-    /// the manager's own placement decides a no-op bit-identically to a
-    /// quiet reactive round. An empty summarization period is the usual
-    /// no-op round.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::InvalidSetup`] when `target` is empty, repeats a
-    /// node, or strays outside the current candidate set.
-    pub fn propose_placement(
-        &mut self,
-        target: &[usize],
-    ) -> Result<PendingRebalance, ManagerError> {
-        if target.is_empty() {
-            return Err(ManagerError::InvalidSetup("target placement is empty"));
-        }
-        if (1..target.len()).any(|i| target[..i].contains(&target[i])) {
-            return Err(ManagerError::InvalidSetup(
-                "target placement repeats a node",
-            ));
-        }
-        if target.iter().any(|r| !self.candidates.contains(r)) {
-            return Err(ManagerError::InvalidSetup(
-                "target placement must be a subset of candidates",
-            ));
-        }
-
-        self.stats.rounds += 1;
-        self.stats.summary_bytes += self
-            .clusterers
-            .iter()
-            .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
-            .sum::<u64>();
-
-        let pseudo: Vec<WeightedPoint<D>> = self
-            .clusterers
-            .iter()
-            .flat_map(|c| c.pseudo_points())
-            .collect();
-
-        if pseudo.is_empty() {
-            return Ok(PendingRebalance {
-                decision: MigrationDecision {
-                    old: self.placement.clone(),
-                    proposed: self.placement.clone(),
-                    old_est_ms: 0.0,
-                    new_est_ms: 0.0,
-                    moved: 0,
-                    cost_usd: 0.0,
-                    applied: false,
-                },
-                empty: true,
-            });
-        }
-
-        let proposed = target.to_vec();
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
-        let moved = moved_replicas(&self.placement, &proposed);
-        let cost_usd = self.config.cost.cost_usd(moved);
-
-        let relative_gain = if old_est > 0.0 {
-            (old_est - new_est) / old_est
-        } else {
-            0.0
-        };
-        let resized = proposed.len() != self.placement.len();
-        let applied = if resized {
-            true
-        } else {
-            moved > 0 && relative_gain >= self.config.gain_per_dollar * cost_usd
-        };
-
-        Ok(PendingRebalance {
-            decision: MigrationDecision {
-                old: self.placement.clone(),
-                proposed,
-                old_est_ms: old_est,
-                new_est_ms: new_est,
-                moved,
-                cost_usd,
-                applied,
-            },
-            empty: false,
-        })
+        Ok(nearest_distinct_candidates(
+            &clustering.centroids,
+            &self.candidates,
+            &self.coords,
+            k,
+        ))
     }
 
     /// The second half of a rebalance round: honour the pending decision
@@ -990,18 +837,7 @@ impl<const D: usize> ReplicaManager<D> {
                     .collect();
                 self.reset_clusterers();
                 for mc in retained {
-                    let centroid = mc.centroid();
-                    let idx = self
-                        .placement
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, &a), (_, &b)| {
-                            self.coords[a]
-                                .distance(&centroid)
-                                .total_cmp(&self.coords[b].distance(&centroid))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("placement is non-empty");
+                    let idx = self.slot_for(&mc.centroid());
                     self.clusterers[idx].absorb_cluster(mc);
                 }
             }
@@ -1111,6 +947,15 @@ mod tests {
         assert_eq!(d.proposed, vec![0, 3]);
     }
 
+    /// One full round toward an externally computed placement.
+    fn rebalance_to(
+        mgr: &mut ReplicaManager<1>,
+        placement: &[usize],
+    ) -> Result<MigrationDecision, ManagerError> {
+        let pending = mgr.propose(Target::Placement(placement))?;
+        Ok(mgr.commit_rebalance(pending))
+    }
+
     #[test]
     fn external_placement_passes_through_the_migration_gate() {
         // Demand sits at 50; an external solver hands the manager node 5.
@@ -1118,7 +963,7 @@ mod tests {
         for _ in 0..100 {
             mgr.record_access(Coord::new([50.0]), 1.0);
         }
-        let d = mgr.rebalance_to(&[5]).unwrap();
+        let d = rebalance_to(&mut mgr, &[5]).unwrap();
         assert!(d.applied, "{d:?}");
         assert_eq!(d.moved, 1);
         assert!(d.new_est_ms < d.old_est_ms);
@@ -1133,7 +978,7 @@ mod tests {
         for _ in 0..50 {
             mgr.record_access(Coord::new([0.0]), 1.0);
         }
-        let d = mgr.rebalance_to(&[0, 3]).unwrap();
+        let d = rebalance_to(&mut mgr, &[0, 3]).unwrap();
         assert!(!d.applied, "no move proposed means nothing to pay for");
         assert_eq!(d.moved, 0);
         assert_eq!(mgr.placement(), &[0, 3]);
@@ -1142,7 +987,7 @@ mod tests {
     #[test]
     fn external_placement_on_an_empty_period_is_noop() {
         let mut mgr = manager(2);
-        let d = mgr.rebalance_to(&[3, 5]).unwrap();
+        let d = rebalance_to(&mut mgr, &[3, 5]).unwrap();
         assert!(!d.applied);
         assert_eq!(d.moved, 0);
         assert_eq!(mgr.placement(), &[0, 3], "empty evidence moves nothing");
@@ -1154,7 +999,7 @@ mod tests {
         for bad in [vec![], vec![3, 3], vec![0, 4], vec![0, 99]] {
             assert!(
                 matches!(
-                    mgr.propose_placement(&bad),
+                    mgr.propose(Target::Placement(&bad)),
                     Err(ManagerError::InvalidSetup(_))
                 ),
                 "target {bad:?} must be rejected"
@@ -1529,6 +1374,47 @@ mod tests {
         assert_eq!(split.placement(), whole.placement());
         assert_eq!(split.summaries(), whole.summaries());
         assert_eq!(split.stats(), whole.stats());
+    }
+
+    #[test]
+    fn demand_target_fed_the_recorded_pseudo_points_equals_summaries() {
+        // A non-trivial two-replica period: demand spread over the whole
+        // line plus a heavy cluster near node 5, so both replicas summarize
+        // several micro-clusters and k-means, the gate and the move all
+        // have work to do.
+        let feed = |mgr: &mut ReplicaManager<1>| {
+            for (coord, weight) in synthetic_accesses(400) {
+                mgr.record_access(coord, weight);
+            }
+            for _ in 0..200 {
+                mgr.record_access(Coord::new([49.0]), 1.0);
+            }
+        };
+        let mut reactive = manager(2);
+        feed(&mut reactive);
+        let mut external = manager(2);
+        feed(&mut external);
+        let pseudo: Vec<(Coord<1>, f64)> = external
+            .clusterers
+            .iter()
+            .flat_map(|c| c.pseudo_points())
+            .map(|p| (p.coord, p.weight))
+            .collect();
+        assert!(pseudo.len() > 2, "both replicas summarize demand");
+
+        let a = reactive.propose(Target::Summaries).unwrap();
+        let b = external.propose(Target::Demand(&pseudo)).unwrap();
+        assert!(a.decision.applied && a.decision.moved > 0, "{a:?}");
+        assert_eq!(a.decision, b.decision);
+        let bits =
+            |d: &MigrationDecision| [d.old_est_ms, d.new_est_ms, d.cost_usd].map(f64::to_bits);
+        assert_eq!(bits(&a.decision), bits(&b.decision));
+        assert_eq!(reactive.stats(), external.stats());
+        assert_eq!(reactive.kmeans_stats(), external.kmeans_stats());
+        let (da, db) = (reactive.commit_rebalance(a), external.commit_rebalance(b));
+        assert_eq!(da, db);
+        assert_eq!(reactive.placement(), external.placement());
+        assert_eq!(reactive.stats(), external.stats());
     }
 
     #[test]

@@ -116,19 +116,13 @@ mod tests {
 
     mod properties {
         use super::*;
+        use georep_net::hash::SplitMix64;
         use proptest::prelude::*;
 
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn shuffled(mut v: Vec<usize>, mut seed: u64) -> Vec<usize> {
+        fn shuffled(mut v: Vec<usize>, seed: u64) -> Vec<usize> {
+            let mut rng = SplitMix64(seed);
             for i in (1..v.len()).rev() {
-                let j = (splitmix(&mut seed) % (i as u64 + 1)) as usize;
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
                 v.swap(i, j);
             }
             v

@@ -40,17 +40,18 @@ use std::error::Error;
 use std::fmt;
 
 use georep_coord::Coord;
+use georep_net::hash::fnv1a;
 use georep_net::rtt::RttMatrix;
 use georep_net::sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::failure::degraded_mean_delay;
 use crate::forecast::ForecastConfig;
 use crate::gossip::{detected_failures, embed_via_simulation, embed_with_faults, GossipConfig};
-use crate::manager::{ManagerConfig, ManagerError, ReplicaManager};
+use crate::manager::{ManagerConfig, ManagerError, ReplicaManager, Target};
 use crate::migration::MigrationDecision;
 use crate::problem::{PlacementProblem, ProblemError};
 use crate::strategy::decentralized::{run_decentralized_with, DecentralConfig};
-use crate::strategy::predictive::{PlacementMode, Predictor};
+use crate::strategy::predictive::{mode_target, PlacementMode, Predictor};
 use crate::telemetry::{NullRecorder, Recorder};
 
 /// The five named robustness scenarios.
@@ -253,16 +254,6 @@ impl From<ProblemError> for ScenarioError {
     fn from(e: ProblemError) -> Self {
         ScenarioError::Problem(e)
     }
-}
-
-/// FNV-1a over the debug rendering of the trace.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The scenario's faults, expressed twice: absolute windows on the tick
@@ -645,30 +636,16 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                 }
                 // The degradation loop responds immediately: re-placement,
                 // still gated by migration cost.
-                let oracle_next = oracle_demand(
-                    &clients,
-                    &scoring_plan,
-                    coordinator,
-                    &embed.coords,
-                    &cfg,
-                    tick,
-                );
-                let dctx = DecentralCtx {
+                let ctx = TickCtx {
                     matrix,
                     clients: &clients,
                     plan: &scoring_plan,
                     coordinator,
+                    coords: &embed.coords,
                     cfg: &cfg,
                     tick,
                 };
-                let d = mode_rebalance(
-                    &mut mgr,
-                    cfg.mode,
-                    &predictor,
-                    oracle_next.as_deref(),
-                    &dctx,
-                    rec,
-                )?;
+                let d = mode_rebalance(&mut mgr, &predictor, &ctx, rec)?;
                 record_rebalance(d, tick, &mut trace, &mut replacements, tick >= p, rec);
             }
         }
@@ -702,30 +679,16 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         }
 
         if (tick + 1) % cfg.rebalance_every == 0 {
-            let oracle_next = oracle_demand(
-                &clients,
-                &scoring_plan,
-                coordinator,
-                &embed.coords,
-                &cfg,
-                tick,
-            );
-            let dctx = DecentralCtx {
+            let ctx = TickCtx {
                 matrix,
                 clients: &clients,
                 plan: &scoring_plan,
                 coordinator,
+                coords: &embed.coords,
                 cfg: &cfg,
                 tick,
             };
-            let d = mode_rebalance(
-                &mut mgr,
-                cfg.mode,
-                &predictor,
-                oracle_next.as_deref(),
-                &dctx,
-                rec,
-            )?;
+            let d = mode_rebalance(&mut mgr, &predictor, &ctx, rec)?;
             record_rebalance(d, tick, &mut trace, &mut replacements, tick >= p, rec);
         }
     }
@@ -809,110 +772,113 @@ fn demand_at<const D: usize>(
 /// is only constructed at fault onset — foresight does not extend to
 /// faults that have not been planned yet). `None` past the last tick or in
 /// non-oracle modes.
-fn oracle_demand<const D: usize>(
-    clients: &[usize],
-    plan: &FaultPlan,
-    coordinator: usize,
-    coords: &[Coord<D>],
-    cfg: &ScenarioConfig,
-    tick: u32,
-) -> Option<Vec<(Coord<D>, f64)>> {
-    if cfg.mode != PlacementMode::Oracle || tick + 1 >= 3 * cfg.phase_ticks {
+fn oracle_demand<const D: usize>(ctx: &TickCtx<'_, D>) -> Option<Vec<(Coord<D>, f64)>> {
+    let cfg = ctx.cfg;
+    if cfg.mode != PlacementMode::Oracle || ctx.tick + 1 >= 3 * cfg.phase_ticks {
         return None;
     }
-    Some(demand_at(clients, plan, coordinator, coords, cfg, tick + 1))
+    Some(demand_at(
+        ctx.clients,
+        ctx.plan,
+        ctx.coordinator,
+        ctx.coords,
+        cfg,
+        ctx.tick + 1,
+    ))
 }
 
-/// What the decentralized arm of [`mode_rebalance`] solves over: the true
-/// matrix, the demand population and the fault state of the current tick.
-struct DecentralCtx<'a> {
+/// What [`mode_rebalance`] decides over: the true matrix, the demand
+/// population, the embedding and the fault state of the current tick.
+struct TickCtx<'a, const D: usize> {
     matrix: &'a RttMatrix,
     clients: &'a [usize],
     plan: &'a FaultPlan,
     coordinator: usize,
+    coords: &'a [Coord<D>],
     cfg: &'a ScenarioConfig,
     tick: u32,
 }
 
-/// One re-placement decision under the configured mode: reactive on the
-/// recorded summaries, predictive on the forecast when the gate engages
-/// (reactive fallback otherwise), oracle on the supplied next-tick demand,
-/// decentralized on a gossip solve over the live candidates (reactive
-/// fallback when no solve is possible, e.g. every candidate quarantined
-/// away). The decentralized consensus is handed to
-/// [`ReplicaManager::rebalance_to`], so the migration cost gate applies to
-/// it exactly as to any centrally computed proposal.
+/// One re-placement decision under the configured mode: the centrally
+/// solved modes map to their target through [`mode_target`]; the
+/// decentralized mode hands a gossip solve over the live candidates to
+/// [`Target::Placement`], so the migration cost gate applies to it exactly
+/// as to any centrally computed proposal (reactive fallback when no solve
+/// is possible, e.g. every candidate quarantined away).
 fn mode_rebalance<const D: usize, R: Recorder>(
     mgr: &mut ReplicaManager<D>,
-    mode: PlacementMode,
     predictor: &Predictor<D>,
-    oracle_next: Option<&[(Coord<D>, f64)]>,
-    dctx: &DecentralCtx<'_>,
+    ctx: &TickCtx<'_, D>,
     rec: &R,
 ) -> Result<MigrationDecision, ScenarioError> {
-    Ok(match mode {
-        PlacementMode::Reactive => mgr.rebalance()?,
-        PlacementMode::Predictive => {
-            if predictor.gate().engaged() {
-                let predicted = predictor
-                    .predict_next()
-                    .map_err(|_| ScenarioError::Setup("forecast on empty history"))?;
-                mgr.rebalance_on(&predicted)?
+    let mode = ctx.cfg.mode;
+    let consensus = if mode == PlacementMode::Decentralized {
+        decentralized_consensus(mgr, ctx, rec)
+    } else {
+        None
+    };
+    let replan = mode_target(mode, predictor, oracle_demand(ctx).as_deref())
+        .map_err(|_| ScenarioError::Setup("forecast on empty history"))?;
+    let target = match &consensus {
+        Some(placement) => Target::Placement(placement),
+        None => replan
+            .demand
+            .as_deref()
+            .map_or(Target::Summaries, Target::Demand),
+    };
+    let pending = mgr.propose(target)?;
+    Ok(mgr.commit_rebalance(pending))
+}
+
+/// The placement a gossip solve over the manager's live candidates
+/// converges to, or `None` when no solve is possible.
+fn decentralized_consensus<const D: usize, R: Recorder>(
+    mgr: &ReplicaManager<D>,
+    ctx: &TickCtx<'_, D>,
+    rec: &R,
+) -> Option<Vec<usize>> {
+    let live = mgr.candidates().to_vec();
+    let k = mgr.placement().len().min(live.len());
+    if k == 0 {
+        return None;
+    }
+    // Demand the protocol shards: the same reachability predicate
+    // the ingest path uses, as weights over the full client list so
+    // the cost-table rows stay stable across fault states.
+    let now = SimTime::ZERO + ctx.cfg.tick.mul(ctx.tick as u64);
+    let weights: Vec<f64> = ctx
+        .clients
+        .iter()
+        .map(|&c| {
+            let reachable =
+                !ctx.plan.node_down(c, now) && !ctx.plan.partitioned(c, ctx.coordinator, now);
+            if reachable {
+                1.0
             } else {
-                mgr.rebalance()?
+                0.0
             }
-        }
-        PlacementMode::Oracle => match oracle_next {
-            Some(next) => mgr.rebalance_on(&predictor.aggregate(next))?,
-            None => mgr.rebalance()?,
-        },
-        PlacementMode::Decentralized => {
-            let live = mgr.candidates().to_vec();
-            let k = mgr.placement().len().min(live.len());
-            if k == 0 {
-                return Ok(mgr.rebalance()?);
-            }
-            // Demand the protocol shards: the same reachability predicate
-            // the ingest path uses, as weights over the full client list so
-            // the cost-table rows stay stable across fault states.
-            let now = SimTime::ZERO + dctx.cfg.tick.mul(dctx.tick as u64);
-            let weights: Vec<f64> = dctx
-                .clients
-                .iter()
-                .map(|&c| {
-                    let reachable = !dctx.plan.node_down(c, now)
-                        && !dctx.plan.partitioned(c, dctx.coordinator, now);
-                    if reachable {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let dcfg = DecentralConfig {
-                quiet_rounds: 2,
-                refine_round: 1,
-                max_rounds: 24,
-                jitter_sigma: 0.0,
-                seed: dctx.cfg.seed ^ 0xDECE_0000 ^ dctx.tick as u64,
-                threads: dctx.cfg.threads,
-                ..DecentralConfig::new(k)
-            };
-            let solve = run_decentralized_with(
-                dctx.matrix,
-                &live,
-                dctx.clients,
-                &weights,
-                &dcfg,
-                FaultPlan::new(dcfg.seed),
-                rec,
-            );
-            match solve {
-                Ok(report) => mgr.rebalance_to(&report.placement)?,
-                Err(_) => mgr.rebalance()?,
-            }
-        }
-    })
+        })
+        .collect();
+    let dcfg = DecentralConfig {
+        quiet_rounds: 2,
+        refine_round: 1,
+        max_rounds: 24,
+        jitter_sigma: 0.0,
+        seed: ctx.cfg.seed ^ 0xDECE_0000 ^ ctx.tick as u64,
+        threads: ctx.cfg.threads,
+        ..DecentralConfig::new(k)
+    };
+    run_decentralized_with(
+        ctx.matrix,
+        &live,
+        ctx.clients,
+        &weights,
+        &dcfg,
+        FaultPlan::new(dcfg.seed),
+        rec,
+    )
+    .ok()
+    .map(|report| report.placement)
 }
 
 fn record_rebalance<R: Recorder>(

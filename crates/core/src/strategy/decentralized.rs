@@ -38,6 +38,7 @@
 
 use std::sync::Arc;
 
+use georep_net::hash::{fnv1a_fold, SplitMix64, FNV_OFFSET};
 use georep_net::rtt::RttMatrix;
 use georep_net::sim::{
     FaultPlan, Network, NodeId, Process, ProcessCtx, ProcessNet, SimDuration, VersionedView,
@@ -178,7 +179,7 @@ struct PlaceNode {
     slot: usize,
     cfg: DecentralConfig,
     first_offset: SimDuration,
-    rng_state: u64,
+    rng: SplitMix64,
     table: Arc<CostTable>,
     view: VersionedView<ShardSummary>,
     /// Own refined summary, published at `refine_round`.
@@ -194,14 +195,6 @@ struct PlaceNode {
 }
 
 impl PlaceNode {
-    fn rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
     fn merge_entries(&mut self, entries: Vec<(u32, u64, ShardSummary)>) {
         for (origin, version, summary) in entries {
             if self.view.merge(origin as usize, version, summary) {
@@ -313,7 +306,7 @@ impl Process<PlaceMsg> for PlaceNode {
             let mut peers: Vec<usize> = Vec::with_capacity(self.cfg.fanout);
             let wanted = self.cfg.fanout.min(m - 1);
             while peers.len() < wanted {
-                let peer = (self.rand() % m as u64) as usize;
+                let peer = (self.rng.next_u64() % m as u64) as usize;
                 if peer != self.slot && !peers.contains(&peer) {
                     peers.push(peer);
                 }
@@ -564,7 +557,7 @@ pub fn run_decentralized_with<R: Recorder>(
                 slot,
                 cfg: *cfg,
                 first_offset: SimDuration::from_micros(1 + mix % interval_micros),
-                rng_state: cfg.seed ^ (slot as u64).wrapping_mul(0xD1B54A32D192ED03),
+                rng: SplitMix64(cfg.seed ^ (slot as u64).wrapping_mul(0xD1B54A32D192ED03)),
                 table: Arc::clone(&table),
                 view,
                 fine: fine[slot].clone(),
@@ -665,21 +658,16 @@ pub fn run_decentralized_with<R: Recorder>(
         tally.moves += p.tally.moves;
     }
 
-    let mut fingerprint: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut fold = |byte: u8| {
-        fingerprint ^= byte as u64;
-        fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut fingerprint = FNV_OFFSET;
     for p in &procs {
         for &slot in &p.placement_slots {
-            for byte in (table.site_of(slot) as u64).to_le_bytes() {
-                fold(byte);
-            }
+            fingerprint = fnv1a_fold(fingerprint, &(table.site_of(slot) as u64).to_le_bytes());
         }
-        for byte in p.converged_round.unwrap_or(u32::MAX).to_le_bytes() {
-            fold(byte);
-        }
-        fold(0xFF);
+        fingerprint = fnv1a_fold(
+            fingerprint,
+            &p.converged_round.unwrap_or(u32::MAX).to_le_bytes(),
+        );
+        fingerprint = fnv1a_fold(fingerprint, &[0xFF]);
     }
 
     if rec.enabled() {

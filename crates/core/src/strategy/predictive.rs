@@ -7,17 +7,21 @@
 //! loop (ROADMAP item 1, after Pfandzelter & Bermbach): a [`Predictor`]
 //! folds each period's demand into a [`DemandHistory`], and when the
 //! [`forecast::gate`] engages, the next rebalance runs on the *predicted*
-//! next-period demand via [`crate::manager::ReplicaManager::rebalance_on`]
-//! — the migration lands before the shift does.
+//! next-period demand via [`Target::Demand`] — the migration lands before
+//! the shift does.
 //!
-//! Three [`PlacementMode`]s share one driver, [`run_mode`]:
+//! Three [`PlacementMode`]s share one driver, [`run_mode`], and one mapping
+//! from mode to rebalance [`Target`], `mode_target`, which the scenario
+//! runner uses too. Every mode then runs the manager's single
+//! `propose` → `commit_rebalance` decision path:
 //!
-//! * [`PlacementMode::Reactive`] — the unmodified manager loop, the
-//!   baseline;
+//! * [`PlacementMode::Reactive`] — [`Target::Summaries`], the unmodified
+//!   manager loop, the baseline;
 //! * [`PlacementMode::Predictive`] — forecast when the gate engages,
 //!   reactive fallback otherwise (so stationary workloads are served
 //!   **bit-identically** to the reactive baseline: the gate declines with
-//!   [`GateDecision::Stationary`] and the same `rebalance()` runs);
+//!   [`GateDecision::Stationary`] and the same [`Target::Summaries`] round
+//!   runs);
 //! * [`PlacementMode::Oracle`] — perfect foresight: the rebalance runs on
 //!   the *actual* next-period demand, aggregated onto the same region set
 //!   a forecast would use. Oracle regret is the floor any forecaster can
@@ -36,9 +40,10 @@
 //! threads (pinned by `tests/predictive_placement.rs`).
 
 use georep_coord::Coord;
+use georep_net::hash::{fnv1a_fold, FNV_OFFSET};
 
 use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError, GateDecision};
-use crate::manager::{ManagerConfig, ManagerError, ManagerStats, ReplicaManager};
+use crate::manager::{ManagerConfig, ManagerError, ManagerStats, ReplicaManager, Target};
 
 /// Which loop drives re-placement in [`run_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,6 +184,10 @@ impl<const D: usize> Predictor<D> {
     pub fn periods(&self) -> usize {
         self.history.periods()
     }
+
+    pub(crate) fn history(&self) -> &DemandHistory<D> {
+        &self.history
+    }
 }
 
 /// Weighted mean distance from each demand point to its nearest replica —
@@ -248,12 +257,47 @@ impl ModeReport {
     }
 }
 
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+/// What a rebalance round re-places on under one mode: the result of
+/// [`mode_target`].
+pub(crate) struct ModeTarget<const D: usize> {
+    /// The demand for [`Target::Demand`]; `None` means [`Target::Summaries`].
+    pub(crate) demand: Option<Vec<(Coord<D>, f64)>>,
+    /// Whether the forecast gate engaged (predictive mode only).
+    pub(crate) gate_engaged: Option<bool>,
+}
+
+/// The one mapping from a [`PlacementMode`] to what a rebalance round
+/// re-places on, shared by [`run_mode`], the scenario runner and
+/// [`crate::fleet::FleetPredictor`]:
+///
+/// * reactive — the recorded summaries;
+/// * predictive — the forecast next period when [`Predictor::gate`]
+///   engages, the summaries otherwise;
+/// * oracle — `next` (the actual next period) aggregated onto the
+///   predictor's regions, the summaries when there is no next period;
+/// * decentralized — the summaries: the caller solves the consensus, and
+///   this is its fallback when no solve is possible.
+///
+/// # Errors
+///
+/// [`ForecastError`] when the gate engages but the forecast fails.
+pub(crate) fn mode_target<const D: usize>(
+    mode: PlacementMode,
+    predictor: &Predictor<D>,
+    next: Option<&[(Coord<D>, f64)]>,
+) -> Result<ModeTarget<D>, ForecastError> {
+    let (demand, gate_engaged) = match mode {
+        PlacementMode::Reactive | PlacementMode::Decentralized => (None, None),
+        PlacementMode::Predictive if predictor.gate().engaged() => {
+            (Some(predictor.predict_next()?), Some(true))
+        }
+        PlacementMode::Predictive => (None, Some(false)),
+        PlacementMode::Oracle => (next.map(|next| predictor.aggregate(next)), None),
+    };
+    Ok(ModeTarget {
+        demand,
+        gate_engaged,
+    })
 }
 
 /// Serves `periods` of demand through a fresh [`ReplicaManager`] under
@@ -267,10 +311,8 @@ fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
 ///    dollars were wasted;
 /// 3. ingest the period into the manager's summarizers and the predictor's
 ///    history;
-/// 4. re-place: reactive on the recorded summaries; predictive on the
-///    forecast when the gate engages (reactive fallback otherwise); oracle
-///    on the actual period `t + 1` (reactive on the last period — there is
-///    no next period to foresee).
+/// 4. re-place on the [`mode_target`] of `mode`, with the actual period
+///    `t + 1` as the oracle's foresight.
 ///
 /// `regions` fixes the forecast/oracle aggregation grid (typically the
 /// candidate coordinates). The demand slices are borrowed per period so
@@ -290,6 +332,11 @@ pub fn run_mode<const D: usize>(
     mode: PlacementMode,
     cfg: &ModeConfig,
 ) -> Result<ModeReport, ManagerError> {
+    if mode == PlacementMode::Decentralized {
+        return Err(ManagerError::InvalidSetup(
+            "decentralized placement needs an RTT matrix; drive it via run_scenario",
+        ));
+    }
     let mut mgr = ReplicaManager::new(
         coords.to_vec(),
         candidates.to_vec(),
@@ -306,7 +353,7 @@ pub fn run_mode<const D: usize>(
     let mut wasted_usd = 0.0f64;
     let mut gate_engaged = 0usize;
     let mut gate_declined = 0usize;
-    let mut fingerprint = 0xcbf29ce484222325u64;
+    let mut fingerprint = FNV_OFFSET;
     // The previous period's committed migration, still awaiting its
     // realized verdict: (placement it replaced, dollars it cost).
     let mut open_bill: Option<(Vec<usize>, f64)> = None;
@@ -334,30 +381,17 @@ pub fn run_mode<const D: usize>(
         predictor.observe(demand);
 
         // 4. Re-place for the next period.
-        let decision = match mode {
-            PlacementMode::Reactive => mgr.rebalance()?,
-            PlacementMode::Predictive => {
-                if predictor.gate().engaged() {
-                    gate_engaged += 1;
-                    let predicted = predictor
-                        .predict_next()
-                        .map_err(|_| ManagerError::InvalidSetup("forecast on empty history"))?;
-                    mgr.rebalance_on(&predicted)?
-                } else {
-                    gate_declined += 1;
-                    mgr.rebalance()?
-                }
-            }
-            PlacementMode::Oracle => match periods.get(t + 1) {
-                Some(next) => mgr.rebalance_on(&predictor.aggregate(next))?,
-                None => mgr.rebalance()?,
-            },
-            PlacementMode::Decentralized => {
-                return Err(ManagerError::InvalidSetup(
-                    "decentralized placement needs an RTT matrix; drive it via run_scenario",
-                ))
-            }
-        };
+        let next = periods.get(t + 1).map(Vec::as_slice);
+        let replan = mode_target(mode, &predictor, next)
+            .map_err(|_| ManagerError::InvalidSetup("forecast on empty history"))?;
+        match replan.gate_engaged {
+            Some(true) => gate_engaged += 1,
+            Some(false) => gate_declined += 1,
+            None => {}
+        }
+        let target = replan.demand.as_deref();
+        let pending = mgr.propose(target.map_or(Target::Summaries, Target::Demand))?;
+        let decision = mgr.commit_rebalance(pending);
         if decision.applied && decision.moved > 0 {
             migrations += 1;
             migration_usd += decision.cost_usd;
@@ -401,6 +435,17 @@ mod tests {
         (coords, candidates, regions)
     }
 
+    /// [`run_mode`] on the [`line`].
+    fn run(
+        initial: &[usize],
+        periods: &[Vec<(Coord<1>, f64)>],
+        mode: PlacementMode,
+        cfg: &ModeConfig,
+    ) -> Result<ModeReport, ManagerError> {
+        let (coords, candidates, regions) = line();
+        run_mode(&coords, &candidates, initial, &regions, periods, mode, cfg)
+    }
+
     fn stationary_periods(n: usize) -> Vec<Vec<(Coord<1>, f64)>> {
         (0..n)
             .map(|_| vec![(Coord::new([5.0]), 3.0), (Coord::new([85.0]), 3.0)])
@@ -423,29 +468,10 @@ mod tests {
 
     #[test]
     fn stationary_workload_makes_predictive_equal_reactive() {
-        let (coords, candidates, regions) = line();
         let cfg = ModeConfig::new(2, 4).unwrap();
         let periods = stationary_periods(12);
-        let reactive = run_mode(
-            &coords,
-            &candidates,
-            &[0, 4],
-            &regions,
-            &periods,
-            PlacementMode::Reactive,
-            &cfg,
-        )
-        .unwrap();
-        let predictive = run_mode(
-            &coords,
-            &candidates,
-            &[0, 4],
-            &regions,
-            &periods,
-            PlacementMode::Predictive,
-            &cfg,
-        )
-        .unwrap();
+        let reactive = run(&[0, 4], &periods, PlacementMode::Reactive, &cfg).unwrap();
+        let predictive = run(&[0, 4], &periods, PlacementMode::Predictive, &cfg).unwrap();
         // Gate never engages on stationary demand, so the predictive run
         // IS the reactive run, bit for bit.
         assert_eq!(predictive.gate_engaged, 0);
@@ -459,29 +485,10 @@ mod tests {
 
     #[test]
     fn oracle_beats_reactive_on_a_swinging_workload() {
-        let (coords, candidates, regions) = line();
         let cfg = ModeConfig::new(1, 8).unwrap();
         let periods = swinging_periods(32, 8);
-        let reactive = run_mode(
-            &coords,
-            &candidates,
-            &[4],
-            &regions,
-            &periods,
-            PlacementMode::Reactive,
-            &cfg,
-        )
-        .unwrap();
-        let oracle = run_mode(
-            &coords,
-            &candidates,
-            &[4],
-            &regions,
-            &periods,
-            PlacementMode::Oracle,
-            &cfg,
-        )
-        .unwrap();
+        let reactive = run(&[4], &periods, PlacementMode::Reactive, &cfg).unwrap();
+        let oracle = run(&[4], &periods, PlacementMode::Oracle, &cfg).unwrap();
         assert!(
             oracle.mean_delay_ms < reactive.mean_delay_ms,
             "oracle {:.3} vs reactive {:.3}",
@@ -492,29 +499,10 @@ mod tests {
 
     #[test]
     fn engaged_predictive_tracks_the_swing() {
-        let (coords, candidates, regions) = line();
         let cfg = ModeConfig::new(1, 8).unwrap();
         let periods = swinging_periods(48, 8);
-        let predictive = run_mode(
-            &coords,
-            &candidates,
-            &[4],
-            &regions,
-            &periods,
-            PlacementMode::Predictive,
-            &cfg,
-        )
-        .unwrap();
-        let reactive = run_mode(
-            &coords,
-            &candidates,
-            &[4],
-            &regions,
-            &periods,
-            PlacementMode::Reactive,
-            &cfg,
-        )
-        .unwrap();
+        let predictive = run(&[4], &periods, PlacementMode::Predictive, &cfg).unwrap();
+        let reactive = run(&[4], &periods, PlacementMode::Reactive, &cfg).unwrap();
         assert!(predictive.gate_engaged > 0, "{predictive:?}");
         assert!(
             predictive.mean_delay_ms <= reactive.mean_delay_ms,
@@ -526,7 +514,6 @@ mod tests {
 
     #[test]
     fn reports_are_identical_across_thread_counts() {
-        let (coords, candidates, regions) = line();
         let periods = swinging_periods(24, 8);
         for mode in ALL_MODES {
             let runs: Vec<ModeReport> = [1usize, 2, 8]
@@ -534,16 +521,7 @@ mod tests {
                 .map(|&threads| {
                     let mut cfg = ModeConfig::new(2, 6).unwrap();
                     cfg.threads = threads;
-                    run_mode(
-                        &coords,
-                        &candidates,
-                        &[0, 4],
-                        &regions,
-                        &periods,
-                        mode,
-                        &cfg,
-                    )
-                    .unwrap()
+                    run(&[0, 4], &periods, mode, &cfg).unwrap()
                 })
                 .collect();
             assert_eq!(runs[0], runs[1], "{mode:?} 1 vs 2 threads");
@@ -568,19 +546,9 @@ mod tests {
 
     #[test]
     fn coordinate_driver_rejects_the_decentralized_mode() {
-        let (coords, candidates, regions) = line();
         let cfg = ModeConfig::new(1, 4).unwrap();
         let periods = stationary_periods(4);
-        let err = run_mode(
-            &coords,
-            &candidates,
-            &[4],
-            &regions,
-            &periods,
-            PlacementMode::Decentralized,
-            &cfg,
-        )
-        .unwrap_err();
+        let err = run(&[4], &periods, PlacementMode::Decentralized, &cfg).unwrap_err();
         assert!(matches!(err, ManagerError::InvalidSetup(_)));
         assert!(err.to_string().contains("run_scenario"));
     }

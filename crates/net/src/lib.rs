@@ -14,7 +14,9 @@
 //! * [`planetlab`] — a deterministic 226-node "PlanetLab-like" snapshot with
 //!   node shares per region that mirror the historical PlanetLab deployment;
 //! * [`sim`] — a discrete-event simulation engine that delivers messages
-//!   with latencies drawn from an [`rtt::RttMatrix`].
+//!   with latencies drawn from an [`rtt::RttMatrix`];
+//! * [`hash`] — the SplitMix64 and FNV-1a helpers every crate's seeded
+//!   draws and fingerprints share.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 //! ```
 
 pub mod geo;
+pub mod hash;
 pub mod planetlab;
 pub mod rtt;
 pub mod sim;

@@ -20,6 +20,7 @@
 //! All fault windows are half-open `[from, until)` on [`SimTime`].
 
 use super::time::{SimDuration, SimTime};
+use crate::hash::SplitMix64;
 
 /// A half-open activity window `[from, until)` in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +117,8 @@ struct Surge {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// SplitMix64 state for loss draws.
-    rng_state: u64,
+    /// Generator for loss draws.
+    rng: SplitMix64,
     default_loss: f64,
     link_loss: Vec<LinkLoss>,
     partitions: Vec<Partition>,
@@ -136,7 +137,7 @@ impl FaultPlan {
     /// An empty plan (no faults) with the given seed for loss draws.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
-            rng_state: seed ^ 0xFA_07_1E_57,
+            rng: SplitMix64(seed ^ 0xFA_07_1E_57),
             default_loss: 0.0,
             link_loss: Vec::new(),
             partitions: Vec::new(),
@@ -294,15 +295,6 @@ impl FaultPlan {
             && self.surges.is_empty()
     }
 
-    fn next_f64(&mut self) -> f64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Decides the fate of one message sent at `sent_at` with healthy base
     /// delay `base`. Checks, in order: source down at send time, partition
     /// at send time, packet loss (one seeded draw, only when the loss
@@ -323,7 +315,7 @@ impl FaultPlan {
             return Delivery::Dropped(DropCause::Partition);
         }
         let p = self.loss_probability(from, to, sent_at);
-        if p > 0.0 && self.next_f64() < p {
+        if p > 0.0 && self.rng.next_f64() < p {
             return Delivery::Dropped(DropCause::Loss);
         }
         let factor = self.latency_factor(from, to, sent_at);

@@ -37,6 +37,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::hash::splitmix64;
 use crate::rtt::RttMatrix;
 
 /// The five generated graph families.
@@ -187,19 +188,11 @@ pub struct Graph {
     seed: u64,
 }
 
-/// SplitMix64 finalizer — the workspace's standard counter-based hash.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Order-independent per-edge weight: a pure hash of `(seed, min, max)`
 /// endpoints mapped uniformly into `[lo, hi)`.
 fn edge_weight_ms(seed: u64, u: usize, v: usize, lo: f64, hi: f64) -> f64 {
     let (a, b) = (u.min(v) as u64, u.max(v) as u64);
-    let h = splitmix(seed ^ splitmix(a.wrapping_mul(0x0000_0100_0000_01B3) ^ b));
+    let h = splitmix64(seed ^ splitmix64(a.wrapping_mul(0x0000_0100_0000_01B3) ^ b));
     let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     lo + unit * (hi - lo)
 }

@@ -21,6 +21,10 @@ use georep_core::telemetry::{bucket_bound, InMemoryRecorder, HISTOGRAM_BUCKETS};
 
 use crate::service::ShardProducer;
 
+/// Largest `POST /ingest` body accepted, in bytes; a larger
+/// `Content-Length` is answered `413` before anything is allocated.
+const MAX_INGEST_BODY: usize = 1 << 20;
+
 /// Renders a recorder snapshot in the Prometheus text exposition format.
 ///
 /// Metric names are the recorder names with `.` mapped to `_` and a
@@ -145,6 +149,12 @@ impl MetricsExporter {
                     &body,
                 )
             }
+            ("POST", "/ingest") if content_length > MAX_INGEST_BODY => respond(
+                reader.into_inner(),
+                "413 Payload Too Large",
+                "text/plain",
+                &format!("body exceeds {MAX_INGEST_BODY} bytes\n"),
+            ),
             ("POST", "/ingest") => {
                 let mut body = vec![0u8; content_length];
                 reader.read_exact(&mut body)?;
@@ -169,7 +179,9 @@ impl MetricsExporter {
     }
 
     /// Parses `object region weight` lines and submits them. All-or-
-    /// nothing per request: the first malformed line rejects the batch.
+    /// nothing per request: the first malformed line, region outside the
+    /// service's table, or non-finite or negative weight rejects the
+    /// batch before any of it is submitted.
     fn ingest(&self, body: &str) -> Result<usize, String> {
         let Some(producer) = &self.producer else {
             return Err("ingest endpoint not wired to a producer".into());
@@ -185,6 +197,15 @@ impl MetricsExporter {
             parsed.push(triple);
         }
         let mut producer = producer.lock().map_err(|_| "producer poisoned")?;
+        let regions = producer.regions();
+        for &(_, region, weight) in &parsed {
+            if region >= regions {
+                return Err(format!("region {region} out of range (0..{regions})"));
+            }
+            if !(weight.is_finite() && weight >= 0.0) {
+                return Err(format!("weight {weight} must be finite and non-negative"));
+            }
+        }
         let n = parsed.len();
         for (object, region, weight) in parsed {
             producer.submit(object, region, weight);
@@ -325,29 +346,113 @@ georep_serve_lag_ms_count 3\n";
         assert!(text.contains("georep_serve_enqueue_to_absorb_ms_count 2"));
     }
 
+    /// Serves `exporter` on its own thread; the returned closure stops and
+    /// joins it.
+    fn spawn(exporter: MetricsExporter) -> (SocketAddr, impl FnOnce()) {
+        let addr = exporter.local_addr().expect("addr");
+        let stop = exporter.stop_flag();
+        let server = std::thread::spawn(move || exporter.serve());
+        let shutdown = move || {
+            stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            server.join().expect("server thread");
+        };
+        (addr, shutdown)
+    }
+
+    /// Sends one raw request, half-closes, and returns the whole response.
+    fn request(addr: SocketAddr, raw: &str) -> String {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(raw.as_bytes()).expect("write");
+        s.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut out = String::new();
+        let _ = s.read_to_string(&mut out);
+        out
+    }
+
+    fn post_ingest(addr: SocketAddr, body: &str) -> String {
+        let head = format!(
+            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        request(addr, &(head + body))
+    }
+
     #[test]
     fn http_endpoint_serves_metrics_and_rejects_unknown_paths() {
         let rec = Arc::new(InMemoryRecorder::new());
         rec.counter("serve.ticks", 7);
         let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&rec), None).expect("bind");
-        let addr = exporter.local_addr().expect("addr");
-        let stop = exporter.stop_flag();
-        let server = std::thread::spawn(move || exporter.serve());
+        let (addr, shutdown) = spawn(exporter);
 
-        let get = |path: &str| -> String {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").expect("write");
-            let mut out = String::new();
-            s.read_to_string(&mut out).expect("read");
-            out
-        };
+        let get = |path: &str| request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"));
         let metrics = get("/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"));
         assert!(metrics.contains("georep_serve_ticks_total 7"));
         assert!(get("/nope").starts_with("HTTP/1.1 404"));
+        shutdown();
+    }
 
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
-        server.join().expect("server thread");
+    #[test]
+    fn ingest_rejects_bad_triples_whole_and_keeps_serving() {
+        use crate::clock::MockClock;
+        use crate::service::{IngestService, ServeConfig};
+        use georep_coord::Coord;
+        use georep_core::fleet::{FleetConfig, FleetManager};
+        use georep_core::manager::ManagerConfig;
+
+        let regions: Arc<Vec<Coord<1>>> =
+            Arc::new((0..4).map(|i| Coord::new([i as f64 * 10.0])).collect());
+        let fleet = FleetManager::new_shared(
+            Arc::clone(&regions),
+            vec![0, 3],
+            vec![0],
+            FleetConfig::new(8, 2, 1, ManagerConfig::new(1, 4)),
+        )
+        .expect("valid fleet");
+        let config = ServeConfig {
+            shards: 1,
+            ring_capacity: 16,
+            ..ServeConfig::default()
+        };
+        let (mut svc, mut producers) = IngestService::new(fleet, regions, MockClock::new(), config);
+        let rec = Arc::new(InMemoryRecorder::new());
+        let exporter = MetricsExporter::bind("127.0.0.1:0", rec, producers.pop()).expect("bind");
+        let (addr, shutdown) = spawn(exporter);
+
+        // An out-of-range region, non-finite and negative weights — alone
+        // or behind a valid line — are all rejected whole.
+        for body in [
+            "1 999 1.0",
+            "1 0 NaN",
+            "1 0 inf",
+            "1 0 -1",
+            "1 0 1.0\n1 4 1.0",
+        ] {
+            let reply = post_ingest(addr, body);
+            assert!(reply.starts_with("HTTP/1.1 400"), "{body:?}: {reply:?}");
+        }
+        // The exporter survived every rejection and still serves.
+        assert!(post_ingest(addr, "1 3 0.0\n2 0 2.5").starts_with("HTTP/1.1 200"));
+        assert!(request(addr, "GET /metrics HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 200 OK"));
+        shutdown();
+        // Only the two valid accesses reached the ring.
+        assert_eq!(svc.poll().expect("poll"), 2);
+    }
+
+    #[test]
+    fn oversized_ingest_body_is_refused_before_allocation() {
+        let rec = Arc::new(InMemoryRecorder::new());
+        let exporter = MetricsExporter::bind("127.0.0.1:0", rec, None).expect("bind");
+        let (addr, shutdown) = spawn(exporter);
+
+        // Headers only, then half-close: a body-trusting server allocates
+        // the claimed length and hits EOF without ever answering.
+        let oversized = format!(
+            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_INGEST_BODY + 1
+        );
+        assert!(request(addr, &oversized).starts_with("HTTP/1.1 413"));
+        shutdown();
     }
 }

@@ -160,6 +160,12 @@ impl ShardProducer {
         });
     }
 
+    /// The size of the service's region table: valid wire-level region
+    /// indices are `0..regions()`.
+    pub(crate) fn regions(&self) -> u32 {
+        self.regions
+    }
+
     /// Hangs up this shard: after the flag is visible the service stops
     /// waiting for it in the watermark. Dropping the handle closes too.
     pub fn close(self) {}

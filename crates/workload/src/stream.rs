@@ -6,6 +6,7 @@
 //! back — the "user population moves with the sun" scenario that makes
 //! gradual replica migration worthwhile.
 
+use georep_net::hash::splitmix64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -118,15 +119,6 @@ pub fn generate(pop: &Population, cfg: &StreamConfig, duration_ms: f64) -> Vec<A
         });
     }
     events
-}
-
-/// One SplitMix64 step: the standard 64-bit finalizer-style mixer, used to
-/// derive statistically independent per-shard RNG seeds from one base seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The deterministic per-shard seed split: shard `s` of a stream seeded
