@@ -5,13 +5,14 @@
 //!
 //! * **pipeline** — N producer threads submit pre-stamped accesses
 //!   through per-shard SPSC rings; the service thread drains, reassembles
-//!   global stamp order behind the watermark and feeds complete periods
-//!   to [`FleetManager::ingest_period`] plus a rebalance — the full
-//!   online path, measured end to end from first submit to final flush;
+//!   global stamp order behind the watermark, absorbs what each poll has
+//!   in hand with [`FleetManager::ingest_period`] and closes every full
+//!   period with a rebalance — the full online path, measured end to end
+//!   from first submit to final close;
 //! * **latency** — one in `LATENCY_SAMPLE` accesses carries a monotonic
 //!   enqueue timestamp; the recorder's exponential histogram yields the
-//!   p50/p99 enqueue-to-absorb time (dominated by the period fill, which
-//!   is the honest number for a batching ingest tier);
+//!   p50/p99 enqueue-to-absorb time: queueing (including any rebalance
+//!   the service ran meanwhile) plus the absorb of the access's slice;
 //! * **equivalence** — the trace is a pure function of the stamp, so an
 //!   offline replay of the service's recorded flush partition must leave
 //!   a fresh fleet bit-identical to the online one (`identical_result`).
@@ -262,9 +263,11 @@ fn main() {
         json,
         "  \"note\": \"{PRODUCERS} producer threads pre-stamp a SplitMix64 trace into \
          per-shard SPSC rings; the service reassembles global stamp order behind the \
-         watermark and feeds {period}-access periods to FleetManager::ingest_period plus \
-         a rebalance; p50/p99 are enqueue-to-absorb (period fill dominates, by design); \
-         the offline replay of the recorded flush partition must match bit for bit\""
+         watermark, absorbs each poll's watermark-complete slice with \
+         FleetManager::ingest_period and closes every {period}-access period with a \
+         rebalance; p50/p99 are enqueue-to-absorb (ring queueing plus the slice's absorb, \
+         no period fill); the offline replay of the recorded period partition must match \
+         bit for bit\""
     );
     json.push_str("}\n");
 

@@ -193,6 +193,10 @@ pub struct FleetManager<const D: usize> {
     owners: Vec<ReplicaManager<D>>,
     budget_usd: f64,
     threads: usize,
+    /// Batch size below which [`FleetManager::ingest_period`] runs on the
+    /// calling thread: the base config's
+    /// [`ManagerConfig::ingest_serial_threshold`].
+    ingest_serial_threshold: usize,
     /// Shared candidate-major delay table: built once from the common
     /// coordinate table, used by fleet-level routing for every key.
     cost_table: CostTable,
@@ -252,6 +256,7 @@ impl<const D: usize> FleetManager<D> {
             owners,
             budget_usd: config.migration_budget_usd,
             threads: config.threads,
+            ingest_serial_threshold: config.manager.ingest_serial_threshold,
             cost_table,
             stats: FleetStats::default(),
             buckets: Vec::new(),
@@ -285,13 +290,22 @@ impl<const D: usize> FleetManager<D> {
 
     /// Ingests one period of keyed accesses `(object, coordinate, weight)`
     /// with the configured thread count, returning the number of accesses
-    /// each owner served (indexed by owner id).
+    /// each owner served (indexed by owner id). Below
+    /// [`ManagerConfig::ingest_serial_threshold`] accesses it runs serially
+    /// on the calling thread: spawning the routing and absorb workers costs
+    /// more than a small batch does. Calls are additive: within a period
+    /// (no rebalance in between), ingesting any cut of it slice by slice
+    /// reaches the same state as one call over the whole period.
     ///
     /// # Panics
     ///
     /// Panics when an object id is outside the fleet's key space.
     pub fn ingest_period(&mut self, accesses: &[(u64, Coord<D>, f64)]) -> Vec<u64> {
-        let threads = self.resolve_threads();
+        let threads = if accesses.len() < self.ingest_serial_threshold {
+            1
+        } else {
+            self.resolve_threads()
+        };
         self.ingest_period_with_threads(accesses, threads)
     }
 
@@ -368,26 +382,29 @@ impl<const D: usize> FleetManager<D> {
         let inner = (threads / workers).max(1);
         let per = owner_count.div_ceil(workers);
         let buckets = &self.buckets[..owner_count];
-        std::thread::scope(|scope| {
-            for ((mgr_chunk, bucket_chunk), served_chunk) in self
-                .owners
-                .chunks_mut(per)
-                .zip(buckets.chunks(per))
-                .zip(served.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for ((mgr, bucket), out) in
-                        mgr_chunk.iter_mut().zip(bucket_chunk).zip(served_chunk)
-                    {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let per_replica = mgr.ingest_period_with_threads(bucket, inner);
-                        *out = per_replica.iter().sum();
-                    }
-                });
+        let absorb = move |mgrs: &mut [ReplicaManager<D>],
+                           buckets: &[Vec<(Coord<D>, f64)>],
+                           out: &mut [u64]| {
+            for ((mgr, bucket), out) in mgrs.iter_mut().zip(buckets).zip(out) {
+                if !bucket.is_empty() {
+                    *out = mgr.ingest_period_with_threads(bucket, inner).iter().sum();
+                }
             }
-        });
+        };
+        if workers == 1 {
+            absorb(&mut self.owners, buckets, &mut served);
+        } else {
+            std::thread::scope(|scope| {
+                for ((mgr_chunk, bucket_chunk), served_chunk) in self
+                    .owners
+                    .chunks_mut(per)
+                    .zip(buckets.chunks(per))
+                    .zip(served.chunks_mut(per))
+                {
+                    scope.spawn(move || absorb(mgr_chunk, bucket_chunk, served_chunk));
+                }
+            });
+        }
 
         self.stats.accesses += accesses.len() as u64;
         self.stats.hot_accesses += hot;

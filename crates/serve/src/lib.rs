@@ -8,11 +8,11 @@
 //! * [`ring`] — bounded lock-free SPSC rings (power-of-two capacity,
 //!   cache-line-padded positions, batch drains), one per producer thread;
 //! * [`service`] — [`service::IngestService`] drains rings into
-//!   per-shard period buffers, reassembles global stamp order behind a
-//!   low watermark, and hands complete periods to
-//!   [`georep_core::fleet::FleetManager::ingest_period`] plus a
-//!   rebalance, so the online end state is bit-identical to an offline
-//!   replay of the same chunks;
+//!   per-shard buffers, reassembles global stamp order behind a low
+//!   watermark, absorbs what each poll has in hand with
+//!   [`georep_core::fleet::FleetManager::ingest_period`] and closes each
+//!   full period with a rebalance, so the online end state is
+//!   bit-identical to an offline replay of the same periods;
 //! * [`clock`] — the [`clock::Clock`] trait behind re-placement ticks
 //!   ([`clock::SystemClock`] live, [`clock::MockClock`] in tests);
 //! * [`metrics`] — Prometheus text rendering of the recorder (cumulative

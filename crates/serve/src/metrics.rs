@@ -179,9 +179,10 @@ impl MetricsExporter {
     }
 
     /// Parses `object region weight` lines and submits them. All-or-
-    /// nothing per request: the first malformed line, region outside the
-    /// service's table, or non-finite or negative weight rejects the
-    /// batch before any of it is submitted.
+    /// nothing per request: the first malformed line, object outside the
+    /// fleet's key space, region outside the service's table, or
+    /// non-finite or negative weight rejects the batch before any of it is
+    /// submitted.
     fn ingest(&self, body: &str) -> Result<usize, String> {
         let Some(producer) = &self.producer else {
             return Err("ingest endpoint not wired to a producer".into());
@@ -197,8 +198,11 @@ impl MetricsExporter {
             parsed.push(triple);
         }
         let mut producer = producer.lock().map_err(|_| "producer poisoned")?;
-        let regions = producer.regions();
-        for &(_, region, weight) in &parsed {
+        let (objects, regions) = (producer.objects(), producer.regions());
+        for &(object, region, weight) in &parsed {
+            if object >= objects {
+                return Err(format!("object {object} out of range (0..{objects})"));
+            }
             if region >= regions {
                 return Err(format!("region {region} out of range (0..{regions})"));
             }
@@ -438,6 +442,55 @@ georep_serve_lag_ms_count 3\n";
         shutdown();
         // Only the two valid accesses reached the ring.
         assert_eq!(svc.poll().expect("poll"), 2);
+    }
+
+    #[test]
+    fn ingest_rejects_objects_outside_the_key_space() {
+        use crate::clock::MockClock;
+        use crate::service::{IngestService, ServeConfig};
+        use georep_coord::Coord;
+        use georep_core::fleet::{FleetConfig, FleetManager};
+        use georep_core::manager::ManagerConfig;
+
+        let regions: Arc<Vec<Coord<1>>> =
+            Arc::new((0..4).map(|i| Coord::new([i as f64 * 10.0])).collect());
+        let fleet = FleetManager::new_shared(
+            Arc::clone(&regions),
+            vec![0, 3],
+            vec![0],
+            FleetConfig::new(8, 2, 1, ManagerConfig::new(1, 4)),
+        )
+        .expect("valid fleet");
+        let config = ServeConfig {
+            shards: 1,
+            ring_capacity: 16,
+            ..ServeConfig::default()
+        };
+        let (mut svc, mut producers) = IngestService::new(fleet, regions, MockClock::new(), config);
+        let exporter =
+            MetricsExporter::bind("127.0.0.1:0", Arc::clone(svc.recorder()), producers.pop())
+                .expect("bind");
+        let (addr, shutdown) = spawn(exporter);
+
+        // The key space is 0..8: id 8 and beyond, alone or behind a valid
+        // line, are rejected whole.
+        for body in ["8 0 1.0", "18446744073709551615 1 1.0", "7 0 1.0\n8 0 1.0"] {
+            let reply = post_ingest(addr, body);
+            assert!(reply.starts_with("HTTP/1.1 400"), "{body:?}: {reply:?}");
+            assert!(reply.contains("out of range"), "{body:?}: {reply:?}");
+        }
+        assert!(post_ingest(addr, "7 0 1.0").starts_with("HTTP/1.1 200"));
+        // The service absorbs the one valid access without panicking, and
+        // the exporter still answers scrapes afterwards.
+        assert_eq!(svc.poll().expect("poll"), 1);
+        assert_eq!(svc.served_total(), 1);
+        let metrics = request(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+        assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics:?}");
+        assert!(
+            metrics.contains("georep_serve_ingested_total 1"),
+            "{metrics:?}"
+        );
+        shutdown();
     }
 
     #[test]

@@ -5,11 +5,29 @@
 //!
 //! Producer threads (one per shard, thread-per-core style) stamp accesses
 //! with a global logical sequence number and push them into their shard's
-//! bounded ring. The service side drains every ring into per-shard period
-//! buffers, reassembles the *global stamp order* behind a low watermark,
-//! and hands complete periods of `period_accesses` accesses to the
-//! three-phase [`FleetManager::ingest_period`], followed by a fleet
-//! rebalance — exactly the offline pipeline, fed online.
+//! bounded ring. The service side drains every ring into per-shard
+//! buffers and reassembles the *global stamp order* behind a low
+//! watermark.
+//!
+//! # Absorb, then close
+//!
+//! A period's life has two steps, as in the paper's Section III-B, where
+//! an access is micro-clustered when it arrives and only the
+//! macro-clustering waits for the end of the period:
+//!
+//! * **absorb** — every [`IngestService::poll`] merges the
+//!   watermark-complete prefix it has in hand and hands it straight to
+//!   [`FleetManager::ingest_period`], never more than what is left of the
+//!   open period of `period_accesses` accesses;
+//! * **close** — when the open period reaches `period_accesses`, the same
+//!   poll runs one fleet rebalance and records the period's size in
+//!   [`IngestService::flush_sizes`]. [`IngestService::maybe_tick`] and
+//!   [`IngestService::finish`] absorb what is left and close a non-empty
+//!   open period early.
+//!
+//! So closing a period costs only its last slice plus the rebalance, and
+//! [`IngestService::served_total`] counts accesses *absorbed* — including
+//! those of the open period, whose rebalance is still to come.
 //!
 //! # Determinism contract
 //!
@@ -17,12 +35,14 @@
 //! increasing stamps into its own ring, so after draining, every access
 //! with a stamp below `min` over open shards of (last drained stamp + 1)
 //! is in hand — no straggler can arrive below that watermark. The service
-//! only ingests watermark-complete prefixes, in stamp order, chunked at
-//! `period_accesses`. The result is **bit-identical** to offline
-//! [`FleetManager::ingest_period`] calls over the same stamp-ordered
-//! sequence with the same chunk sizes, for *any* shard count, thread
-//! interleaving, or ring capacity. [`IngestService::flush_sizes`] records
-//! the chunk partition so a replay harness can mirror it exactly.
+//! only absorbs watermark-complete prefixes, in stamp order. Within a
+//! period the placement is frozen and each owner sees its accesses in
+//! stream order, so absorbing a period slice by slice leaves the fleet
+//! exactly where one [`FleetManager::ingest_period`] call over the whole
+//! period does. The result is therefore **bit-identical** to offline
+//! `ingest_period` + `rebalance` calls over the same stamp-ordered
+//! sequence, cut at [`IngestService::flush_sizes`], for *any* shard
+//! count, thread interleaving, ring capacity or poll cadence.
 //!
 //! # Backpressure
 //!
@@ -75,11 +95,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-ring slot count (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Accesses per re-placement period: each complete period is one
-    /// `ingest_period` + `rebalance` against the fleet.
+    /// Accesses per re-placement period: polls absorb a period slice by
+    /// slice, and the poll that completes it runs one fleet `rebalance`.
     pub period_accesses: usize,
-    /// Clock interval between forced ticks (a tick also flushes the
-    /// partial period accumulated so far).
+    /// Clock interval between forced ticks (a tick also closes the
+    /// partial period absorbed so far).
     pub tick_interval_ms: u64,
     /// Sample one in `latency_sample` accesses for the enqueue-to-absorb
     /// histogram (0 disables sampling entirely).
@@ -115,6 +135,7 @@ pub struct ShardProducer {
     latency_sample: u64,
     last_stamp: u64,
     regions: u32,
+    objects: u64,
 }
 
 impl ShardProducer {
@@ -123,7 +144,8 @@ impl ShardProducer {
     ///
     /// # Panics
     ///
-    /// Panics when `region` is outside the service's coordinate table.
+    /// Panics when `region` is outside the service's coordinate table or
+    /// `object` outside the fleet's key space.
     pub fn submit(&mut self, object: u64, region: u32, weight: f64) {
         let stamp = self.stamps.fetch_add(1, Ordering::Relaxed);
         self.submit_stamped(stamp, object, region, weight);
@@ -136,10 +158,11 @@ impl ShardProducer {
     ///
     /// # Panics
     ///
-    /// Panics when `region` is out of range or `stamp` does not increase
-    /// within this ring.
+    /// Panics when `region` or `object` is out of range or `stamp` does
+    /// not increase within this ring.
     pub fn submit_stamped(&mut self, stamp: u64, object: u64, region: u32, weight: f64) {
         assert!(region < self.regions, "region {region} out of range");
+        assert!(object < self.objects, "object {object} out of range");
         assert!(
             self.last_stamp == u64::MAX || stamp > self.last_stamp,
             "per-ring stamps must increase: {stamp} after {}",
@@ -166,6 +189,12 @@ impl ShardProducer {
         self.regions
     }
 
+    /// The size of the fleet's key space: valid object ids are
+    /// `0..objects()`.
+    pub(crate) fn objects(&self) -> u64 {
+        self.objects
+    }
+
     /// Hangs up this shard: after the flag is visible the service stops
     /// waiting for it in the watermark. Dropping the handle closes too.
     pub fn close(self) {}
@@ -182,7 +211,7 @@ impl Drop for ShardProducer {
 struct Shard {
     consumer: Consumer<Access>,
     shared: Arc<ShardShared>,
-    /// Stamp-ordered accesses drained but not yet ingested.
+    /// Stamp-ordered accesses drained but not yet absorbed.
     buf: std::collections::VecDeque<Access>,
     /// Smallest stamp this shard could still deliver (last seen + 1).
     next_possible: u64,
@@ -209,15 +238,17 @@ pub struct IngestService<const D: usize, C: Clock> {
     next_tick_ms: u64,
     epoch: Arc<Instant>,
     recorder: Arc<InMemoryRecorder>,
-    /// Chunk sizes of every flush, in order — the partition a replay
+    /// Sizes of every closed period, in order — the partition a replay
     /// harness must mirror for bit-identity.
     flush_sizes: Vec<u64>,
     served: Vec<u64>,
     served_total: u64,
+    /// Accesses absorbed into the period not yet closed.
+    open_period: usize,
     ticks: u64,
-    /// Merge scratch: the chunk handed to `ingest_period`.
+    /// Merge scratch: the slice handed to `ingest_period`.
     chunk: Vec<(u64, Coord<D>, f64)>,
-    /// Latency-sampled enqueue timestamps for the current chunk.
+    /// Latency-sampled enqueue timestamps for the current slice.
     sampled: Vec<u64>,
 }
 
@@ -241,6 +272,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         assert!(!regions.is_empty(), "need at least one region");
         let stamps = Arc::new(AtomicU64::new(0));
         let epoch = Arc::new(Instant::now());
+        let objects = fleet.objects();
         let mut shards = Vec::with_capacity(config.shards);
         let mut producers = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
@@ -254,6 +286,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
                 latency_sample: config.latency_sample,
                 last_stamp: u64::MAX,
                 regions: regions.len() as u32,
+                objects,
             });
             shards.push(Shard {
                 consumer,
@@ -280,6 +313,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
                 flush_sizes: Vec::new(),
                 served: vec![0; owner_count],
                 served_total: 0,
+                open_period: 0,
                 ticks: 0,
                 chunk: Vec::new(),
                 sampled: Vec::new(),
@@ -288,14 +322,15 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         )
     }
 
-    /// Drains every ring into its shard buffer and flushes every complete
-    /// period that became available. Returns how many accesses were
-    /// drained. Call this from the shard worker loop.
+    /// Drains every ring into its shard buffer, absorbs every access that
+    /// is now watermark-complete, and closes each period that fills up.
+    /// Returns how many accesses were drained. Call this from the shard
+    /// worker loop.
     ///
     /// # Errors
     ///
-    /// Propagates [`FleetError`] from the rebalance that follows each
-    /// flushed period.
+    /// Propagates [`FleetError`] from the rebalance that closes a period;
+    /// accesses still in hand are absorbed by the next poll.
     pub fn poll(&mut self) -> Result<usize, FleetError> {
         let mut drained = 0usize;
         for shard in &mut self.shards {
@@ -319,16 +354,21 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         if drained > 0 {
             self.recorder.counter("serve.drained", drained as u64);
         }
-        while self.available() >= self.period_accesses {
-            self.flush(self.period_accesses)?;
+        let mut available = self.available();
+        while available > 0 {
+            let slice = available.min(self.period_accesses - self.open_period);
+            self.absorb(slice);
+            available -= slice;
+            if self.open_period == self.period_accesses {
+                self.close()?;
+            }
         }
         Ok(drained)
     }
 
-    /// Fires a re-placement tick when the clock says one is due: drains,
-    /// flushes complete periods, then flushes the remaining partial
-    /// period (if any) so re-placement never waits on a half-full buffer.
-    /// Returns whether a tick fired.
+    /// Fires a re-placement tick when the clock says one is due: polls,
+    /// then closes the partial open period (if any) so re-placement never
+    /// waits on a half-full period. Returns whether a tick fired.
     ///
     /// # Errors
     ///
@@ -339,18 +379,15 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         }
         self.next_tick_ms = self.clock.now_ms() + self.tick_interval_ms;
         self.poll()?;
-        let rest = self.available();
-        if rest > 0 {
-            self.flush(rest)?;
-        }
+        self.close_partial()?;
         self.ticks += 1;
         self.recorder.counter("serve.ticks", 1);
         Ok(true)
     }
 
-    /// Waits for every producer to hang up, then drains and flushes
-    /// everything left (complete periods first, then the final partial
-    /// one). Used at shutdown and by benches for an exact end state.
+    /// Waits for every producer to hang up, polling until everything is
+    /// absorbed, then closes the final partial period. Used at shutdown
+    /// and by benches for an exact end state.
     ///
     /// # Errors
     ///
@@ -363,11 +400,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
             }
             std::thread::yield_now();
         }
-        let rest = self.available();
-        if rest > 0 {
-            self.flush(rest)?;
-        }
-        Ok(())
+        self.close_partial()
     }
 
     /// Smallest stamp any open shard could still deliver: everything
@@ -390,10 +423,11 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
             .sum()
     }
 
-    /// Merges the `count` lowest-stamped buffered accesses into one chunk
-    /// (they are guaranteed below the watermark by the caller), ingests
-    /// it, and rebalances. One flush = one offline period.
-    fn flush(&mut self, count: usize) -> Result<(), FleetError> {
+    /// Merges the `count` lowest-stamped buffered accesses into one slice
+    /// (they are guaranteed below the watermark by the caller) and
+    /// absorbs it into the open period. No rebalance: the placement stays
+    /// frozen until the period closes.
+    fn absorb(&mut self, count: usize) {
         self.chunk.clear();
         self.sampled.clear();
         for _ in 0..count {
@@ -420,10 +454,8 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
             *total += s;
         }
         self.served_total += count as u64;
-        self.fleet.rebalance()?;
-        self.flush_sizes.push(count as u64);
+        self.open_period += count;
         self.recorder.counter("serve.ingested", count as u64);
-        self.recorder.counter("serve.periods", 1);
         if !self.sampled.is_empty() {
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
             for &enq in &self.sampled {
@@ -433,16 +465,33 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
                 );
             }
         }
+    }
+
+    /// Closes the open period: one fleet rebalance, then one
+    /// `flush_sizes` entry. One closed period = one offline period.
+    fn close(&mut self) -> Result<(), FleetError> {
+        let size = std::mem::take(&mut self.open_period);
+        self.fleet.rebalance()?;
+        self.flush_sizes.push(size as u64);
+        self.recorder.counter("serve.periods", 1);
         Ok(())
     }
 
-    /// Accesses ingested so far.
+    /// Closes the open period early if it has absorbed anything.
+    fn close_partial(&mut self) -> Result<(), FleetError> {
+        if self.open_period > 0 {
+            self.close()?;
+        }
+        Ok(())
+    }
+
+    /// Accesses absorbed so far, including those of the open period.
     pub fn served_total(&self) -> u64 {
         self.served_total
     }
 
-    /// Per-owner served counts, accumulated across all flushes (same
-    /// indexing as [`FleetManager::ingest_period`]'s return value).
+    /// Per-owner served counts of every absorbed access (same indexing as
+    /// [`FleetManager::ingest_period`]'s return value).
     pub fn served(&self) -> &[u64] {
         &self.served
     }
@@ -452,8 +501,9 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         self.ticks
     }
 
-    /// Chunk sizes of every flush, in order — replay these against
-    /// [`FleetManager::ingest_period`] for a bit-identical offline twin.
+    /// Sizes of every closed period, in order — replay these against
+    /// [`FleetManager::ingest_period`] plus a rebalance each for a
+    /// bit-identical offline twin. The open period is not listed.
     pub fn flush_sizes(&self) -> &[u64] {
         &self.flush_sizes
     }

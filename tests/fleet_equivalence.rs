@@ -14,11 +14,15 @@
 //!   its isolated twin does, for all-hot and mixed hot/cold tierings;
 //! * **fault transparency** — a deterministic fault schedule derived from
 //!   a [`FaultPlan`] (crash windows sampled at period boundaries) leaves
-//!   the fleet and its twins in identical states, at every thread count.
+//!   the fleet and its twins in identical states, at every thread count;
+//! * **slice additivity** — ingesting a period as any sequence of slices,
+//!   then rebalancing once, equals ingesting it in one call: the contract
+//!   the serving layer's per-poll absorb relies on.
 
+use georep_cluster::StreamStats;
 use georep_coord::Coord;
-use georep_core::fleet::{FleetConfig, FleetManager, FleetRound};
-use georep_core::manager::{ManagerConfig, ReplicaManager};
+use georep_core::fleet::{FleetConfig, FleetManager, FleetRound, FleetStats};
+use georep_core::manager::{ManagerConfig, ManagerStats, ReplicaManager};
 use georep_core::migration::MigrationDecision;
 use georep_net::sim::time::SimTime;
 use georep_net::sim::FaultPlan;
@@ -262,6 +266,103 @@ proptest! {
         let config = fleet_config(64, hot, cold, seed.wrapping_mul(0x6B).wrapping_add(7));
         let trace = keyed_trace(64, seed.wrapping_add(0xBEEF), 2_400);
         assert_equivalent(&trace, config, 2, &[]);
+    }
+}
+
+/// Everything slice additivity compares: fleet stats, every owner's
+/// placement, manager stats and stream stats, and the summed served
+/// counts.
+#[derive(Debug, PartialEq)]
+struct FleetState {
+    stats: FleetStats,
+    owners: Vec<(Vec<usize>, ManagerStats, StreamStats)>,
+    served: Vec<u64>,
+}
+
+/// Runs `periods` back to back over `trace`, each period fed to `ingest`
+/// in the slices `cuts` yields for it, followed by one rebalance.
+fn run_sliced(
+    trace: &[(u64, Coord<D>, f64)],
+    config: FleetConfig,
+    periods: &[usize],
+    cuts: impl Fn(usize, usize) -> Vec<usize>,
+    mut ingest: impl FnMut(&mut FleetManager<D>, &[(u64, Coord<D>, f64)]) -> Vec<u64>,
+) -> FleetState {
+    let initial: Vec<usize> = candidates()[..2].to_vec();
+    let mut fleet = FleetManager::new(coords(), candidates(), initial, config).unwrap();
+    let mut served = vec![0u64; fleet.owner_count()];
+    let mut start = 0usize;
+    for (p, &len) in periods.iter().enumerate() {
+        let period = &trace[start..start + len];
+        let mut from = 0usize;
+        for to in cuts(p, len).into_iter().chain([len]) {
+            for (total, s) in served.iter_mut().zip(ingest(&mut fleet, &period[from..to])) {
+                *total += s;
+            }
+            from = to;
+        }
+        fleet.rebalance().unwrap();
+        start += len;
+    }
+    FleetState {
+        stats: fleet.stats(),
+        owners: fleet
+            .owners()
+            .iter()
+            .map(|m| (m.placement().to_vec(), m.stats(), m.stream_stats()))
+            .collect(),
+        served,
+    }
+}
+
+/// Sorted cut points strictly inside `0..len` (duplicates allowed: an
+/// empty slice must be a no-op too), drawn from `seed` and the period.
+fn cut_points(seed: u64, period: usize, len: usize, count: usize) -> Vec<usize> {
+    let mut state = seed ^ (period as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    let mut cuts: Vec<usize> = (0..count)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % (len + 1)
+        })
+        .collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+proptest! {
+    /// Any cut of a period into slices, each ingested on its own and the
+    /// period closed by one rebalance, reaches the state of one
+    /// `ingest_period` call per period — at 1, 2 and 8 threads, and on the
+    /// auto path, which runs slices below the serial cutoff inline.
+    #[test]
+    fn ingest_is_additive_over_slices_of_a_period(
+        hot in 1u64..4,
+        cold in 1usize..4,
+        seed in 0u64..500,
+        periods in prop::collection::vec((1usize..600, 0usize..6), 1..4),
+    ) {
+        let config = fleet_config(64, hot, cold, seed.wrapping_mul(0x51).wrapping_add(3));
+        let sizes: Vec<usize> = periods.iter().map(|&(len, _)| len).collect();
+        // A long stream, cut to length: short Poisson horizons fall short.
+        let mut trace = keyed_trace(64, seed.wrapping_add(0x511CE), 1_800);
+        trace.truncate(sizes.iter().sum());
+        let cuts = |p: usize, len: usize| cut_points(seed, p, len, periods[p].1);
+
+        let whole = run_sliced(&trace, config, &sizes, |_, _| Vec::new(), |f, a| {
+            f.ingest_period_with_threads(a, 1)
+        });
+        prop_assert_eq!(whole.stats.accesses, trace.len() as u64);
+        prop_assert_eq!(whole.served.iter().sum::<u64>(), trace.len() as u64);
+        for threads in [1usize, 2, 8] {
+            let sliced = run_sliced(&trace, config, &sizes, cuts, |f, a| {
+                f.ingest_period_with_threads(a, threads)
+            });
+            prop_assert_eq!(&whole, &sliced, "{} threads", threads);
+        }
+        let auto = run_sliced(&trace, config, &sizes, cuts, |f, a| f.ingest_period(a));
+        prop_assert_eq!(&whole, &auto, "auto path");
     }
 }
 

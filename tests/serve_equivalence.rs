@@ -5,10 +5,11 @@
 //! ticks must leave it in exactly the state an offline
 //! [`FleetManager::ingest_period`] replay of the same stamp-ordered
 //! sequence reaches — placements, served counts and cumulative stats,
-//! with no epsilons, for any shard count, ring capacity or tick schedule.
-//! The service's recorded flush partition (`flush_sizes`) is the whole
-//! interface between the two worlds: the offline twin replays those
-//! chunks and must land bit-identically.
+//! with no epsilons, for any shard count, ring capacity, tick schedule or
+//! poll cadence. Every poll absorbs what it has in hand and only the
+//! period's close rebalances, so the service's recorded period partition
+//! (`flush_sizes`) is the whole interface between the two worlds: the
+//! offline twin replays those periods and must land bit-identically.
 
 use std::sync::Arc;
 
@@ -264,4 +265,104 @@ fn threaded_live_producers_reach_an_offline_reachable_state() {
     assert_eq!(svc.served_total(), (shards * per_shard) as u64);
     let total: u64 = svc.flush_sizes().iter().sum();
     assert_eq!(total, (shards * per_shard) as u64);
+}
+
+#[test]
+fn a_poll_absorbs_less_than_a_period_at_once() {
+    let regions = regions();
+    let accesses = trace(123);
+    let clock = MockClock::new();
+    let (mut svc, mut producers) = IngestService::new(
+        fleet(&regions),
+        Arc::clone(&regions),
+        clock.handle(),
+        serve_config(1),
+    );
+    submit_round_robin(&mut producers, &accesses);
+    let drained = svc.poll().expect("poll");
+    assert_eq!(drained, accesses.len());
+
+    // Far less than a 500-access period is in hand, yet all of it is
+    // micro-clustered now; only the rebalance waits for the period.
+    assert_eq!(svc.served_total(), drained as u64);
+    assert_eq!(svc.served().iter().sum::<u64>(), drained as u64);
+    assert!(svc.flush_sizes().is_empty(), "no period closed yet");
+    let fleet = svc.fleet();
+    assert_eq!(fleet.stats().accesses, drained as u64);
+    assert_eq!(fleet.stats().rounds, 0);
+    let summarized: u64 = (0..fleet.owner_count())
+        .map(|o| {
+            let s = fleet.owner(o).stream_stats();
+            s.absorbed + s.created
+        })
+        .sum();
+    assert_eq!(
+        summarized, drained as u64,
+        "owners' summaries hold every access"
+    );
+}
+
+/// A small deterministic generator for the poll-cadence schedule.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+}
+
+#[test]
+fn any_poll_cadence_is_bit_identical_to_offline_replay() {
+    let regions = regions();
+    let accesses = trace(2_300);
+    for seed in 0..6u64 {
+        let mut rng = Lcg(0xCADE_0000 + seed);
+        let shards = 1 + rng.below(4) as usize;
+        let clock = MockClock::new();
+        let (mut svc, mut producers) = IngestService::new(
+            fleet(&regions),
+            Arc::clone(&regions),
+            clock.handle(),
+            serve_config(shards),
+        );
+        // Batches of random size go to random shards (stamps still rise
+        // per ring); after each, the service polls, ticks or waits.
+        let mut next = 0usize;
+        while next < accesses.len() {
+            let end = (next + 1 + rng.below(400) as usize).min(accesses.len());
+            for (stamp, &(object, region, weight)) in
+                accesses.iter().enumerate().take(end).skip(next)
+            {
+                let shard = rng.below(shards as u64) as usize;
+                producers[shard].submit_stamped(stamp as u64, object, region, weight);
+            }
+            next = end;
+            match rng.below(4) {
+                0 => {}
+                1 => {
+                    clock.advance(1_000);
+                    assert!(svc.maybe_tick().expect("tick"));
+                }
+                _ => {
+                    svc.poll().expect("poll");
+                }
+            }
+        }
+        drop(producers);
+        svc.finish().expect("finish");
+        assert_eq!(svc.served_total(), accesses.len() as u64, "seed {seed}");
+        assert!(
+            svc.flush_sizes().iter().all(|&p| (1..=500).contains(&p)),
+            "seed {seed}: {:?}",
+            svc.flush_sizes()
+        );
+
+        let (offline, offline_served) = offline_replay(&regions, &accesses, svc.flush_sizes());
+        assert_fleets_identical(svc.fleet(), &offline);
+        assert_eq!(svc.served(), offline_served, "seed {seed}");
+    }
 }
